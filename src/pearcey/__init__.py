@@ -7,40 +7,20 @@ quadrature oracles for ground truth.
 
 from .asymptotics import (
     Dominance,
-    EvalPoint,
     ExpansionResult,
     Region,
-    StokesInfo,
     classify_region,
     normalize,
     pearcey_asymptotic,
-    pearcey_branch,
-    prefactor,
-    series_sum,
     stokes_classification,
 )
 from .coefficients import (
-    MAX_ORDER,
-    CoefficientTable,
     build_table,
-    expansion_weight,
     moment_coeff,
     moment_coeff_closed,
     series_coeff,
 )
-from .geometry import (
-    CasePathLimits,
-    SaddleSet,
-    case3_path_limits,
-    phase,
-    phase_derivative,
-    phase_taylor,
-    residual_exponent,
-    residual_series_coeff,
-    saddle_points,
-    tail_bound,
-    tail_decay_rate,
-)
+from .geometry import phase, saddle_points, tail_decay_rate
 from .quadrature import (
     CONTOUR,
     REAL_AXIS,
@@ -50,52 +30,32 @@ from .quadrature import (
     pearcey_quadrature,
     relative_error,
 )
-from .tables import PRESETS, TABLE1, TABLE2, TableRow, TableSpec, table_rows
+from .tables import PRESETS, table_rows
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CONTOUR",
     "REAL_AXIS",
-    "MAX_ORDER",
-    "CasePathLimits",
-    "CoefficientTable",
     "ConvergenceError",
     "Dominance",
-    "EvalPoint",
     "ExpansionResult",
     "PRESETS",
     "QuadratureConfig",
     "Region",
-    "SaddleSet",
-    "StokesInfo",
-    "TABLE1",
-    "TABLE2",
-    "TableRow",
-    "TableSpec",
     "build_table",
-    "case3_path_limits",
     "classify_region",
-    "expansion_weight",
     "moment_coeff",
     "moment_coeff_closed",
     "normalize",
     "pearcey_asymptotic",
     "pearcey_bar",
-    "pearcey_branch",
     "pearcey_quadrature",
     "phase",
-    "phase_derivative",
-    "phase_taylor",
-    "prefactor",
     "relative_error",
-    "residual_exponent",
-    "residual_series_coeff",
     "saddle_points",
     "series_coeff",
-    "series_sum",
     "stokes_classification",
     "table_rows",
-    "tail_bound",
     "tail_decay_rate",
 ]

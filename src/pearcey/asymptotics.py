@@ -26,6 +26,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .coefficients import CoefficientTable, build_table
 
@@ -95,6 +96,8 @@ def normalize(x: complex, y: complex) -> EvalPoint:
     """Reduce (x, y) by evenness in y to Re y >= 0 and record theta."""
     x = complex(x)
     y = complex(y)
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise ValueError(f"x and y must be finite, got x={x!r}, y={y!r}")
     if y == 0:
         raise ValueError(
             "asymptotic expansion undefined at y = 0; use quadrature")
@@ -137,6 +140,17 @@ def prefactor(k: int, x: complex, y: complex) -> complex:
     return cmath.exp(expo)
 
 
+def _partial_sums(k: int, series: tuple[complex, ...], logy: complex,
+                  order: int) -> Iterator[complex]:
+    """Running partial sums of branch k's inverse-power series, orders 0..order."""
+    sgn = -1.0 if k == 1 else 1.0
+    total = complex(0)
+    for n in range(order + 1):
+        term_phase = cmath.exp(sgn * (2 * n + 1) * 1j * _PI / 6.0)
+        total += term_phase * series[n] * cmath.exp(-2.0 * n / 3.0 * logy)
+        yield total
+
+
 def series_sum(k: int, table: CoefficientTable, y: complex, order: int) -> complex:
     """Partial sum of branch k's inverse-power series through ``order``."""
     if k not in (1, 2):
@@ -146,12 +160,7 @@ def series_sum(k: int, table: CoefficientTable, y: complex, order: int) -> compl
     if not 0 <= order <= table.max_order:
         raise ValueError(
             f"order {order} outside table range 0..{table.max_order}")
-    sgn = -1.0 if k == 1 else 1.0
-    logy = cmath.log(y)
-    total = complex(0)
-    for n in range(order + 1):
-        term_phase = cmath.exp(sgn * (2 * n + 1) * 1j * _PI / 6.0)
-        total += term_phase * table.series[n] * cmath.exp(-2.0 * n / 3.0 * logy)
+    *_, total = _partial_sums(k, table.series, cmath.log(y), order)
     return total
 
 
@@ -193,19 +202,11 @@ def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResul
                         "value saturated to infinite modulus")
 
     logy = cmath.log(point.y)
-    running = {k: complex(0) for k in active}
-    partial: list[complex] = []
-    p1c = complex(0)
-    p2c = complex(0)
-    for n in range(order + 1):
-        ypow = cmath.exp(-2.0 * n / 3.0 * logy)
-        for k in active:
-            sgn = -1.0 if k == 1 else 1.0
-            term_phase = cmath.exp(sgn * (2 * n + 1) * 1j * _PI / 6.0)
-            running[k] += term_phase * table.series[n] * ypow
-        p1c = prefs[1] * running[1] if 1 in prefs else complex(0)
-        p2c = prefs[2] * running[2] if 2 in prefs else complex(0)
-        partial.append(p1c + p2c)
+    contribs = {k: [complex(0)] * (order + 1) for k in (1, 2)}
+    for k in active:
+        contribs[k] = [prefs[k] * s
+                       for s in _partial_sums(k, table.series, logy, order)]
+    partial = [c1 + c2 for c1, c2 in zip(contribs[1], contribs[2])]
 
     omitted = (sum(abs(prefs[k]) for k in active)
                * abs(table.series[order + 1])
@@ -215,8 +216,8 @@ def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResul
         value=partial[-1],
         order=order,
         region=region,
-        p1_contrib=p1c,
-        p2_contrib=p2c,
+        p1_contrib=contribs[1][-1],
+        p2_contrib=contribs[2][-1],
         partial_sums=tuple(partial),
         first_omitted_magnitude=omitted,
         warnings=tuple(warnings),
@@ -231,16 +232,12 @@ def stokes_classification(y: complex) -> StokesInfo:
     other.  The anti-Stokes flag marks |theta| within 1e-12 of 3pi/8,
     where the moduli cross.
     """
-    y = complex(y)
-    if y == 0:
-        raise ValueError("Stokes structure undefined at y = 0")
-    y_norm = -y if y.real < 0 else y
-    theta = cmath.phase(y_norm)
-    if y_norm.imag > 0:
+    point = normalize(0.0, y)
+    if point.y.imag > 0:
         dom = Dominance.P2
-    elif y_norm.imag < 0:
+    elif point.y.imag < 0:
         dom = Dominance.P1
     else:
         dom = Dominance.BOTH
-    on_anti = abs(abs(theta) - 3.0 * _PI / 8.0) <= _ANTI_STOKES_TOL
+    on_anti = abs(abs(point.theta) - 3.0 * _PI / 8.0) <= _ANTI_STOKES_TOL
     return StokesInfo(dominant=dom, on_anti_stokes=on_anti)

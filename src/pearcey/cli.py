@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ValueError, ConvergenceError) as exc:
+    except (ValueError, OverflowError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

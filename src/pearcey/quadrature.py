@@ -16,9 +16,9 @@ exactly (up to quadrature error), with no asymptotic content:
   through the saddle points of the exponent.  On the bent path the
   integrand modulus peaks at the dominant saddle and decays on both
   sides, so double precision suffices and the cost is milliseconds.
-  The bend is a finite polyline; both ends return to the directions of
-  the original contour, which keeps the deformation exact for every
-  argument of y.
+  The bend is the finite polyline of ``geometry.saddle_path``; both ends
+  return to the directions of the original contour, which keeps the
+  deformation exact for every argument of y.
 
 Both strategies accept any complex x and y (evenness in y is applied
 internally).  ``relative_error`` is the shared comparison metric, and
@@ -36,12 +36,12 @@ from dataclasses import dataclass
 import mpmath as mp
 from scipy.integrate import IntegrationWarning, quad
 
+from .geometry import saddle_path
+
 REAL_AXIS = "real-axis"
 CONTOUR = "contour"
 
 _PI = math.pi
-_R_SADDLE = 2.0 ** (-2.0 / 3.0)
-_TENT_LIMIT = 3.0 * _PI / 8.0  # beyond this |arg y| a single saddle line is clean
 _TAIL_DROP = 48.0              # e-folds below peak at which rays are truncated
 _SCAN_POINTS = 32
 
@@ -89,6 +89,8 @@ def pearcey_quadrature(x: complex, y: complex,
         config = _DEFAULT_CONFIG
     x = complex(x)
     y = complex(y)
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise ValueError(f"x and y must be finite, got x={x!r}, y={y!r}")
     if config.strategy == REAL_AXIS:
         return _real_axis_value(x, y, config)
     return _contour_value(x, y, config)
@@ -165,55 +167,41 @@ def _real_axis_value(x: complex, y: complex, config: QuadratureConfig) -> comple
 def _contour_polyline(x: complex, y: complex):
     """Finite vertices plus outgoing ray directions of the bent contour.
 
-    For |arg y| <= 3pi/8 the path is a tent over both saddles joined to
-    the original real direction on each side; the junctions sit past the
-    points where Re of the exponent could rise again, so the modulus
-    decays monotonically along both rays.  Deeper sectors use the single
-    steepest-descent line of the relevant saddle, whose ends already
-    point into decay valleys.
+    The path is ``geometry.saddle_path`` scaled by y^(1/3).  A tent's ends
+    leave along the original real direction; a single saddle line leaves
+    along its own direction, both ways.
     """
     if y == 0:
         return [complex(0)], complex(-1), complex(1)
-    theta = cmath.phase(y)
+    path = saddle_path(cmath.phase(y))
     y13 = cmath.exp(cmath.log(y) / 3.0)
-    t1 = _R_SADDLE * cmath.exp(1j * _PI / 6.0)
-    t2 = _R_SADDLE * cmath.exp(5j * _PI / 6.0)
-    d1 = cmath.exp(-1j * (_PI + 4.0 * theta) / 6.0)
-    d2 = cmath.exp(1j * (_PI - 4.0 * theta) / 6.0)
-    if abs(theta) <= _TENT_LIMIT:
-        w = t1 + _R_SADDLE * d1
-        u = t2 - _R_SADDLE * d2
-        # corner where the two saddle lines cross
-        det = d1.real * (-d2.imag) - d1.imag * (-d2.real)
-        gap = t2 - t1
-        along1 = (gap.real * (-d2.imag) - gap.imag * (-d2.real)) / det
-        corner = t1 + along1 * d1
-        t_verts = [u, t2, corner, t1, w]
-        # the scaled tails run along the real u-axis by construction
-        return [y13 * t for t in t_verts], complex(-1), complex(1)
-    if theta > 0:
-        direction = y13 * d2
-        direction /= abs(direction)
-        return [y13 * t2], -direction, direction
-    direction = y13 * d1
+    verts = [y13 * t for t in path.vertices]
+    if path.direction is None:
+        return verts, complex(-1), complex(1)
+    direction = y13 * path.direction
     direction /= abs(direction)
-    return [y13 * t1], -direction, direction
+    return verts, -direction, direction
 
 
 def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
+    # The flip stays here rather than in a shared helper: the contour must
+    # accept y = 0, which the expansion's normalisation rejects.
     if y.real < 0:
         y = -y  # evenness of P in y
 
     def exponent(u: complex) -> complex:
         return -u ** 4 - x * u * u + 1j * y * u
 
-    verts, ray_left, ray_right = _contour_polyline(x, y)
+    def scan_peak(peak: float, points: list[complex]) -> float:
+        """``peak`` raised to Re exponent at the interior scan points of each segment."""
+        for a, b in zip(points, points[1:]):
+            step = (b - a) / _SCAN_POINTS
+            for k in range(1, _SCAN_POINTS):
+                peak = max(peak, exponent(a + step * k).real)
+        return peak
 
-    peak = max(exponent(v).real for v in verts)
-    for a, b in zip(verts, verts[1:]):
-        step = (b - a) / _SCAN_POINTS
-        for k in range(1, _SCAN_POINTS):
-            peak = max(peak, exponent(a + step * k).real)
+    verts, ray_left, ray_right = _contour_polyline(x, y)
+    peak = scan_peak(max(exponent(v).real for v in verts), verts)
 
     def truncate(start: complex, direction: complex) -> complex:
         length = 1.0
@@ -222,13 +210,13 @@ def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
             length *= 1.5
         return start + length * direction
 
-    path = [truncate(verts[0], ray_left)] + verts + [truncate(verts[-1], ray_right)]
-
-    # rescan: the tails can pass levels the coarse vertex scan missed
-    for a, b in zip(path, path[1:]):
-        step = (b - a) / _SCAN_POINTS
-        for k in range(1, _SCAN_POINTS):
-            peak = max(peak, exponent(a + step * k).real)
+    left = truncate(verts[0], ray_left)
+    right = truncate(verts[-1], ray_right)
+    # rescan the two tails, which can pass levels the coarse vertex scan
+    # missed; the inner segments' scan points are unchanged
+    peak = scan_peak(peak, [left, verts[0]])
+    peak = scan_peak(peak, [verts[-1], right])
+    path = [left] + verts + [right]
 
     epsrel = max(1e-13, config.rel_tol / 10.0)
     limit = 50 * config.max_subdivisions

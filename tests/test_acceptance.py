@@ -21,10 +21,11 @@ import pytest
 
 from pearcey import (CONTOUR, REAL_AXIS, PRESETS, QuadratureConfig,
                      moment_coeff, moment_coeff_closed, pearcey_asymptotic,
-                     pearcey_branch, pearcey_quadrature, phase,
-                     phase_derivative, phase_taylor, relative_error,
+                     pearcey_quadrature, phase, relative_error,
                      saddle_points, series_coeff, table_rows,
                      tail_decay_rate)
+from pearcey.asymptotics import pearcey_branch
+from pearcey.geometry import phase_derivative, phase_taylor
 
 PI = math.pi
 

@@ -12,10 +12,11 @@ import random
 
 import pytest
 
-from pearcey import (Dominance, EvalPoint, Region, build_table,
-                     classify_region, normalize, pearcey_asymptotic,
-                     pearcey_branch, prefactor, series_coeff, series_sum,
+from pearcey import (Dominance, Region, build_table, classify_region,
+                     normalize, pearcey_asymptotic, series_coeff,
                      stokes_classification)
+from pearcey.asymptotics import (EvalPoint, pearcey_branch, prefactor,
+                                 series_sum)
 
 PI = math.pi
 
@@ -47,6 +48,16 @@ class TestNormalize:
     def test_origin_rejected(self):
         with pytest.raises(ValueError, match="y = 0"):
             normalize(1.0, 0.0)
+
+    @pytest.mark.parametrize("x,y", [
+        (1.0, math.nan), (math.nan, 10.0), (1.0, complex(10.0, math.inf)),
+        (complex(math.inf, 0.0), 10.0), (1.0, -math.inf),
+    ])
+    def test_non_finite_rejected(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            normalize(x, y)
+        with pytest.raises(ValueError, match="finite"):
+            pearcey_asymptotic(x, y)
 
 
 class TestClassifyRegion:

@@ -126,6 +126,24 @@ class TestEval:
                                                        abs=1e-12)
 
     @pytest.mark.parametrize("argv", [
+        ("eval", "--x", "nan", "--y", "10"),
+        ("eval", "--x", "1", "--y", "nan"),
+        ("eval", "--x", "1", "--y-mod", "inf", "--method", "asymptotic"),
+        ("eval", "--x", "1", "--y-mod", "nan"),
+    ])
+    def test_non_finite_input_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
+    def test_overflow_is_a_domain_failure(self, capsys):
+        code, out, err = run(capsys, "eval", "--x", "1e200", "--y", "10")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
         ("eval", "--x", "1"),
         ("eval", "--x", "1", "--y", "5", "--y-mod", "5"),
         ("eval", "--x", "1", "--y", "20e"),
@@ -204,6 +222,12 @@ class TestCoeffs:
         code, _, err = run(capsys, "coeffs", "--x", "1", "--max-order", "65")
         assert code == 3
         assert "cap" in err
+
+    def test_overflow_is_a_domain_failure(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--x", "1e120")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestMap:

@@ -17,8 +17,8 @@ import random
 import mpmath as mp
 import pytest
 
-from pearcey import (build_table, expansion_weight, moment_coeff,
-                     moment_coeff_closed, series_coeff)
+from pearcey import build_table, moment_coeff, moment_coeff_closed, series_coeff
+from pearcey.coefficients import expansion_weight
 
 CUBE2 = 2.0 ** (1.0 / 3.0)
 

@@ -12,9 +12,10 @@ import random
 
 import pytest
 
-from pearcey import (case3_path_limits, phase, phase_derivative, phase_taylor,
-                     residual_exponent, residual_series_coeff, saddle_points,
-                     tail_bound, tail_decay_rate)
+from pearcey import phase, saddle_points, tail_decay_rate
+from pearcey.geometry import (case3_path_limits, phase_derivative,
+                              phase_taylor, residual_exponent,
+                              residual_series_coeff, tail_bound)
 
 PI = math.pi
 R_SADDLE = 2.0 ** (-2.0 / 3.0)

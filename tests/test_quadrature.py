@@ -116,6 +116,17 @@ class TestMagnitudeLaw:
         assert abs(coef[0] - slope_true) <= 0.05 * abs(slope_true)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("strategy", [CONTOUR, REAL_AXIS])
+    @pytest.mark.parametrize("x,y", [
+        (1.0, math.nan), (math.nan, 10.0), (1.0, complex(0.0, math.inf)),
+        (-math.inf, 2.0),
+    ])
+    def test_rejected(self, strategy, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            pearcey_quadrature(x, y, QuadratureConfig(strategy=strategy))
+
+
 class TestRotatedVariant:
     def test_origin(self):
         expected = 2 * cmath.exp(1j * math.pi / 8) * GAMMA_5_4
