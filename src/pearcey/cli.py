@@ -33,8 +33,11 @@ _AUTO_ASYMPTOTIC_MIN = 8.0  # |y| at or above which auto prefers the expansion
 
 def parse_complex(text: str) -> complex:
     """Parse 'a+bi' style literals; 'j' is accepted as a synonym of 'i'."""
-    compact = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
-    compact = re.sub(r"(?<![0-9.])j", "1j", compact)
+    compact = text.strip().replace(" ", "")
+    # the imaginary unit is an i or j not followed by a letter, so the i of
+    # inf stays; a unit with no coefficient gets 1
+    compact = re.sub(r"[iIjJ](?![a-zA-Z])", "j", compact)
+    compact = re.sub(r"(?<![0-9.a-zA-Z])j", "1j", compact)
     try:
         return complex(compact)
     except ValueError:
@@ -225,9 +228,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Write '--x -1+2i' as '--x=-1+2i'.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain negative number, so '-i', '-inf' or '-1+2i' would never reach
+    ``parse_complex``.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in ("--x", "--y") and token.startswith("-"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args, parser)
     except (ValueError, OverflowError, ConvergenceError) as exc:

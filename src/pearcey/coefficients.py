@@ -24,6 +24,7 @@ values an expansion of a given order needs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -140,6 +141,8 @@ def build_table(x: complex, max_order: int) -> CoefficientTable:
         raise ValueError(
             f"max_order {max_order} exceeds the supported cap {MAX_ORDER}")
     x = complex(x)
+    if not cmath.isfinite(x):
+        raise ValueError(f"x must be finite, got x={x!r}")
     c = _moment_seq(x, 3 * max_order)
     a = [_series_from_moments(n, x, c) for n in range(max_order + 1)]
     return CoefficientTable(x=x, max_order=max_order,

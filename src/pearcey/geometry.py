@@ -15,10 +15,9 @@ displacement u = (t - t_saddle) * y^(2/3) along those lines.
 This module holds the phase, its exact quartic Taylor forms about each
 saddle, the residual exponents h_k left over after the Gaussian factor is
 split off, their polynomial expansions, the path of the bent contour
-(``saddle_path``, which the contour quadrature oracle also integrates
-along), and the geometry of the central region derived from that path:
-the u-interval each branch integrates over and the decay rate of the two
-tails that the expansion discards.
+(``saddle_path``), and the geometry of the central region derived from
+that path: the u-interval each branch integrates over and the decay rate
+of the two tails that the expansion discards.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ _T2 = _R_SADDLE * cmath.exp(5j * _PI / 6.0)
 _CUBE16 = 2.0 ** (4.0 / 3.0)          # 16^(1/3)
 _QUAD_AMP = 3.0 / 2.0 ** (1.0 / 3.0)  # modulus of the quadratic Taylor term
 _LEVEL_AMP = 3.0 / 4.0 ** (4.0 / 3.0)  # modulus of f at the saddles
-_TENT_LIMIT = 3.0 * _PI / 8.0  # beyond this |theta| a single saddle line is clean
 
 
 @dataclass(frozen=True)
@@ -134,32 +132,18 @@ def residual_series_coeff(n: int, x: complex, u: complex, branch: int) -> comple
     return cmath.exp(sign * 1j * n * _PI / 3.0) * total
 
 
-@dataclass(frozen=True)
-class SaddlePath:
-    """The bent contour in the t-plane at theta = arg y, before the y^(1/3) scaling.
+def saddle_path(theta: float) -> tuple[complex, ...]:
+    """Vertices (u, t2, corner, t1, w) of the bent contour at theta = arg y.
 
-    For |theta| <= 3pi/8 ``vertices`` is the tent (u, t2, corner, t1, w):
-    from the junction u with the original half-line along saddle 2's
-    steepest-descent line, through the corner where that line crosses
-    saddle 1's, and out along saddle 1's line to the junction w.  The
-    junctions sit 2^(-2/3) past each saddle, beyond the points where Re f
-    could rise again, so both ends rejoin the half-line on a falling
-    modulus; ``direction`` is None.  Deeper sectors use the single
-    steepest-descent line of the relevant saddle: ``vertices`` holds that
-    saddle and ``direction`` the unit direction of the line, whose two ends
-    already point into decay valleys.
+    The tent, before the y^(1/3) scaling, runs from the junction u with the
+    original half-line along saddle 2's steepest-descent line, through the
+    corner where that line crosses saddle 1's, and out along saddle 1's line
+    to the junction w.  The junctions sit 2^(-2/3) past each saddle, beyond
+    the points where Re f could rise again, so for |theta| <= 3pi/8 both
+    ends rejoin the half-line on a falling modulus.
     """
-
-    vertices: tuple[complex, ...]
-    direction: complex | None = None
-
-
-def saddle_path(theta: float) -> SaddlePath:
-    """Path of the bent contour for theta = arg y in [-pi/2, pi/2]."""
     d1 = cmath.exp(-1j * (_PI + 4.0 * theta) / 6.0)
     d2 = cmath.exp(1j * (_PI - 4.0 * theta) / 6.0)
-    if abs(theta) > _TENT_LIMIT:
-        return SaddlePath((_T2,), d2) if theta > 0 else SaddlePath((_T1,), d1)
     w = _T1 + _R_SADDLE * d1
     u = _T2 - _R_SADDLE * d2
     # corner where the two saddle lines cross: t1 + s d1 = t2 + r d2
@@ -167,7 +151,7 @@ def saddle_path(theta: float) -> SaddlePath:
     gap = _T2 - _T1
     along1 = (gap.real * (-d2.imag) - gap.imag * (-d2.real)) / det
     corner = _T1 + along1 * d1
-    return SaddlePath((u, _T2, corner, _T1, w))
+    return u, _T2, corner, _T1, w
 
 
 def tail_decay_rate(theta: float) -> float:
@@ -182,8 +166,7 @@ def tail_decay_rate(theta: float) -> float:
         raise ValueError(
             f"tail rate defined for |theta| <= pi/8, got theta={theta}")
     path = saddle_path(theta)
-    return max(phase(path.vertices[-1], theta).real,
-               phase(path.vertices[0], theta).real)
+    return max(phase(path[-1], theta).real, phase(path[0], theta).real)
 
 
 def tail_bound(theta: float, y_mod: float) -> float:
@@ -219,7 +202,7 @@ def case3_path_limits(theta: float, y_mod: float, branch: int) -> CasePathLimits
             f"two-saddle limits defined for |theta| <= pi/8, got theta={theta}")
     if y_mod <= 0:
         raise ValueError(f"need y_mod > 0, got {y_mod}")
-    u, t2, corner, t1, w = saddle_path(theta).vertices
+    u, t2, corner, t1, w = saddle_path(theta)
     scale = y_mod ** (2.0 / 3.0)
     if branch == 1:
         return CasePathLimits(

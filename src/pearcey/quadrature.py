@@ -12,13 +12,15 @@ exactly (up to quadrature error), with no asymptotic content:
   working precision buys back the digits that cancellation destroys.
   Slow and certain; the ground truth of last resort.
 
-* ``CONTOUR`` rewrites P as a half-plane integral and bends the path
-  through the saddle points of the exponent.  On the bent path the
-  integrand modulus peaks at the dominant saddle and decays on both
-  sides, so double precision suffices and the cost is milliseconds.
-  The bend is the finite polyline of ``geometry.saddle_path``; both ends
-  return to the directions of the original contour, which keeps the
-  deformation exact for every argument of y.
+* ``CONTOUR`` writes P as half the integral of exp(-t^4 - x t^2 + i y t)
+  over the whole real line and moves that line up or down to Im t = c.
+  The integrand is entire and decays like exp(-s^4) along every
+  horizontal line, so by Cauchy the value does not change (DLMF 36.15
+  deforms the Pearcey contour the same way).  Of the lines through the
+  three saddles of the exponent, the roots of 4t^3 + 2xt - iy, it takes
+  the one whose integrand modulus peaks lowest, which keeps the
+  cancellation to a few digits, so double precision suffices and the
+  cost is about a millisecond.
 
 Both strategies accept any complex x and y (evenness in y is applied
 internally).  ``relative_error`` is the shared comparison metric, and
@@ -34,16 +36,14 @@ import warnings as _warnings
 from dataclasses import dataclass
 
 import mpmath as mp
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-
-from .geometry import saddle_path
 
 REAL_AXIS = "real-axis"
 CONTOUR = "contour"
 
 _PI = math.pi
-_TAIL_DROP = 48.0              # e-folds below peak at which rays are truncated
-_SCAN_POINTS = 32
+_TAIL_DROP = 48.0  # e-folds below the line's peak at which it is cut off
 
 
 class ConvergenceError(RuntimeError):
@@ -164,23 +164,17 @@ def _real_axis_value(x: complex, y: complex, config: QuadratureConfig) -> comple
             estimate=complex(best), achieved_error=float(best_err))
 
 
-def _contour_polyline(x: complex, y: complex):
-    """Finite vertices plus outgoing ray directions of the bent contour.
+def _line_profile(x: complex, y: complex, c: float) -> tuple[np.ndarray, float]:
+    """Re of the exponent along t = s + ic as a real quartic in s, and its peak.
 
-    The path is ``geometry.saddle_path`` scaled by y^(1/3).  A tent's ends
-    leave along the original real direction; a single saddle line leaves
-    along its own direction, both ways.
+    The quartic has leading coefficient -1, so its largest value at the real
+    parts of its critical points is its maximum over the real line.
     """
-    if y == 0:
-        return [complex(0)], complex(-1), complex(1)
-    path = saddle_path(cmath.phase(y))
-    y13 = cmath.exp(cmath.log(y) / 3.0)
-    verts = [y13 * t for t in path.vertices]
-    if path.direction is None:
-        return verts, complex(-1), complex(1)
-    direction = y13 * path.direction
-    direction /= abs(direction)
-    return verts, -direction, direction
+    profile = np.array([-1.0, 0.0, 6.0 * c * c - x.real,
+                        2.0 * c * x.imag - y.imag,
+                        c * c * (x.real - c * c) - c * y.real])
+    critical = np.roots(np.polyder(profile)).real
+    return profile, float(np.polyval(profile, critical).max())
 
 
 def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
@@ -189,57 +183,37 @@ def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
     if y.real < 0:
         y = -y  # evenness of P in y
 
-    def exponent(u: complex) -> complex:
-        return -u ** 4 - x * u * u + 1j * y * u
+    # Of the horizontal lines through the saddles (the roots of the
+    # exponent's derivative), the one with the lowest integrand peak loses
+    # the fewest digits to cancellation.
+    lines = [(c, *_line_profile(x, y, c))
+             for c in np.roots([4.0, 0.0, 2.0 * x, -1j * y]).imag.tolist()]
+    c, profile, peak = min(lines, key=lambda line: line[2])
+    ends = np.roots(profile - [0.0, 0.0, 0.0, 0.0, peak - _TAIL_DROP])
+    ends = ends.real[ends.imag == 0]
+    lo, hi = ends.min(initial=math.inf), ends.max(initial=-math.inf)
+    if not lo < hi:
+        # the quartic's scale swamps the tail drop in double precision
+        raise ConvergenceError(
+            "contour quadrature exponent exceeds double-precision range",
+            estimate=complex(math.nan, math.nan), achieved_error=math.inf)
 
-    def scan_peak(peak: float, points: list[complex]) -> float:
-        """``peak`` raised to Re exponent at the interior scan points of each segment."""
-        for a, b in zip(points, points[1:]):
-            step = (b - a) / _SCAN_POINTS
-            for k in range(1, _SCAN_POINTS):
-                peak = max(peak, exponent(a + step * k).real)
-        return peak
-
-    verts, ray_left, ray_right = _contour_polyline(x, y)
-    peak = scan_peak(max(exponent(v).real for v in verts), verts)
-
-    def truncate(start: complex, direction: complex) -> complex:
-        length = 1.0
-        while (exponent(start + length * direction).real > peak - _TAIL_DROP
-               and length < 1e4):
-            length *= 1.5
-        return start + length * direction
-
-    left = truncate(verts[0], ray_left)
-    right = truncate(verts[-1], ray_right)
-    # rescan the two tails, which can pass levels the coarse vertex scan
-    # missed; the inner segments' scan points are unchanged
-    peak = scan_peak(peak, [left, verts[0]])
-    peak = scan_peak(peak, [verts[-1], right])
-    path = [left] + verts + [right]
+    def integrand(s: float) -> complex:
+        u = complex(s, c)
+        return cmath.exp(-u ** 4 - x * u * u + 1j * y * u - peak)
 
     epsrel = max(1e-13, config.rel_tol / 10.0)
     limit = 50 * config.max_subdivisions
-    total = complex(0)
-    err_sum = 0.0
     with _warnings.catch_warnings():
         # the explicit tolerance check below replaces scipy's advisory
         _warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(path, path[1:]):
-            jac = b - a
-
-            def segment(s: float, a=a, jac=jac) -> complex:
-                return cmath.exp(exponent(a + s * jac) - peak) * jac
-
-            value, err = quad(segment, 0.0, 1.0, complex_func=True,
-                              epsabs=1e-15, epsrel=epsrel, limit=limit)
-            total += value
-            err_sum += abs(err)
+        total, err = quad(integrand, lo, hi, complex_func=True,
+                          epsabs=1e-15, epsrel=epsrel, limit=limit)
 
     try:
         scale = 0.5 * math.exp(peak)
         result = total * scale
-        achieved = err_sum * scale
+        achieved = abs(err) * scale
     except OverflowError:
         raise ConvergenceError(
             "contour quadrature result exceeds double-precision range",

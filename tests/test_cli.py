@@ -32,6 +32,8 @@ class TestParseComplex:
         ("1 + 2i", 1 + 2j),
         ("10J", 10j),
         ("(1+2j)", 1 + 2j),
+        ("inf", complex(math.inf, 0.0)),
+        ("-inf", complex(-math.inf, 0.0)),
     ])
     def test_accepted_forms(self, text, expected):
         assert parse_complex(text) == expected
@@ -111,6 +113,13 @@ class TestEval:
         v_ra = json.loads(out_ra)["value"]
         assert v_ct["re"] == pytest.approx(v_ra["re"], rel=1e-9)
 
+    def test_quadrature_at_large_positive_x(self, capsys):
+        code, out, _ = run(capsys, "eval", "--x", "30", "--y", "3",
+                           "--method", "quadrature", "--json")
+        assert code == 0
+        assert json.loads(out)["value"]["re"] == pytest.approx(
+            0.150022665449, abs=1e-12)
+
     def test_origin_needs_quadrature(self, capsys):
         code, _, err = run(capsys, "eval", "--x", "1", "--y", "0",
                            "--method", "asymptotic")
@@ -130,6 +139,8 @@ class TestEval:
         ("eval", "--x", "1", "--y", "nan"),
         ("eval", "--x", "1", "--y-mod", "inf", "--method", "asymptotic"),
         ("eval", "--x", "1", "--y-mod", "nan"),
+        ("eval", "--x", "inf", "--y", "10"),
+        ("eval", "--x", "1", "--y", "-inf"),
     ])
     def test_non_finite_input_rejected(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -222,6 +233,12 @@ class TestCoeffs:
         code, _, err = run(capsys, "coeffs", "--x", "1", "--max-order", "65")
         assert code == 3
         assert "cap" in err
+
+    def test_non_finite_x_rejected(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--x", "nan")
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
 
     def test_overflow_is_a_domain_failure(self, capsys):
         code, out, err = run(capsys, "coeffs", "--x", "1e120")

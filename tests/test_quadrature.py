@@ -1,10 +1,11 @@
 """Quadrature-oracle tests.
 
 The two strategies are independent implementations (mpmath panel sums on
-the real axis vs a bent contour under scipy), so their agreement is the
-strongest internal check; external anchors are the exact value at the
-origin, evenness in y, reality on the real axis, the leading magnitude
-law, and an mpmath evaluation of the rotated variant.
+the real axis vs scipy on a horizontal line through a saddle of the
+exponent), so their agreement is the strongest internal check; external
+anchors are the exact value at the origin, evenness in y, reality on the
+real axis, the leading magnitude law, and an mpmath evaluation of the
+rotated variant.
 """
 
 import cmath
@@ -63,6 +64,13 @@ class TestStrategyAgreement:
         (-2.0, 20.0),
         (1.0, polar(20, math.pi / 4)),
         (1 + 1j, 12 + 5j),
+        # large positive Re x, where a path that ignores x failed to converge
+        (30.0, 3.0),
+        (10.0, 8.0),
+        (29.1, 3 - 3j),
+        (16 - 3.4j, -3.9 + 3.2j),
+        (21.1, -8.8 + 1.2j),
+        (26.1, -6.9 + 3.1j),
     ])
     def test_cross_check(self, x, y):
         contour = pearcey_quadrature(x, y)
@@ -168,6 +176,12 @@ class TestConvergenceFailure:
         assert err.achieved_error > 0
         reference = pearcey_quadrature(1.0, 10.0)
         assert relative_error(err.estimate, reference) <= 1e-9
+
+    def test_contour_exponent_beyond_double_range(self):
+        # P(1e154, 1) ~ 9e-78, but the exponent's quartic spans more
+        # magnitudes than its roots can resolve; no silent zero
+        with pytest.raises(ConvergenceError, match="double-precision"):
+            pearcey_quadrature(1e154, 1.0)
 
     def test_contour_reports_best_estimate(self):
         cfg = QuadratureConfig(rel_tol=1e-40, abs_tol=1e-60,
