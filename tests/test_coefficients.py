@@ -119,6 +119,26 @@ class TestSeriesCoefficients:
             a = series_coeff(n, x)
             assert abs(a.imag) <= 1e-13 * (1 + abs(a))
 
+    @pytest.mark.parametrize("x", [0.0, 1.0, -2.0, 1 + 1j, 2.5 - 0.5j, 3.0,
+                                   -3.0])
+    def test_series_obey_ode_recurrence(self, x):
+        # 4 P_yyy - 2x P_y - y P = 0 (DLMF 36.10) forces a four-term
+        # recurrence on either branch's series, with A_n = 0 for n < 0
+        a = build_table(x, 8).series
+        at = lambda n: a[n] if n >= 0 else 0.0
+        for n in range(1, 9):
+            terms = [
+                -n * at(n),
+                CUBE2 * x * (18 * n - 9 - x * x) / 54 * at(n - 1),
+                CUBE2 ** 2 * (12 * n * n - 24 * n + 7 - 2 * (n - 1) * x * x)
+                / 18 * at(n - 2),
+                -x * (12 * n * n - 36 * n + 19) / 27 * at(n - 3),
+                -2 * CUBE2 * (n - 2) * (2 * n - 7) * (2 * n - 1) / 27
+                * at(n - 4),
+            ]
+            scale = max(abs(t) for t in terms)
+            assert abs(sum(terms)) <= 1e-10 * scale + 1e-14, f"order {n}"
+
 
 class TestTable:
     def test_matches_pointwise_ops(self):

@@ -11,6 +11,7 @@ rotated variant.
 import cmath
 import math
 import random
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -123,6 +124,13 @@ class TestMagnitudeLaw:
         slope_true = -1.5 * 4.0 ** (-4.0 / 3.0)
         assert abs(coef[0] - slope_true) <= 0.05 * abs(slope_true)
 
+    @pytest.mark.parametrize("x", [1e12, 1e16, 1e20])
+    def test_large_positive_x(self, x):
+        # P(x, 0) = sqrt(pi/x)/2 (1 + O(x^-2)), tiny against the unit peak
+        # of the scaled integrand, so no absolute tolerance may end quad
+        assert pearcey_quadrature(x, 0.0) == pytest.approx(
+            math.sqrt(math.pi / x) / 2, rel=1e-12)
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("strategy", [CONTOUR, REAL_AXIS])
@@ -182,6 +190,21 @@ class TestConvergenceFailure:
         # magnitudes than its roots can resolve; no silent zero
         with pytest.raises(ConvergenceError, match="double-precision"):
             pearcey_quadrature(1e154, 1.0)
+
+    @pytest.mark.parametrize("x,y", [(-1e200, 1.0), (1.0, 1e200)])
+    def test_contour_coefficients_beyond_double_range(self, x, y):
+        # the quartic's coefficients overflow, or swamp its tail drop: no
+        # numpy warning or error, the same refusal as above
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="double-precision"):
+                pearcey_quadrature(x, y)
+
+    def test_real_axis_panel_count_capped(self):
+        # the cut-off near 1e10 needs 4e10 panels; refuse before building them
+        with pytest.raises(ConvergenceError, match="panels") as info:
+            pearcey_quadrature(1e20, 1.0, FAST_REAL_AXIS)
+        assert cmath.isnan(info.value.estimate)
 
     def test_contour_reports_best_estimate(self):
         cfg = QuadratureConfig(rel_tol=1e-40, abs_tol=1e-60,
