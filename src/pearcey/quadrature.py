@@ -24,8 +24,10 @@ exactly (up to quadrature error), with no asymptotic content:
   deforms the Pearcey contour the same way).  Of the lines through the
   three saddles of the exponent, the roots of 4t^3 + 2xt - iy, it takes
   the one whose integrand modulus peaks lowest, which keeps the
-  cancellation to a few digits, so double precision suffices and the
-  cost is about a millisecond.
+  cancellation to a few digits, so double precision suffices.  On that
+  line the trapezoid rule converges geometrically; halving its step until
+  two estimates agree takes a median of 65 nodes and about 0.3 ms per
+  point on a 2-core x86 host.
 
 Both strategies accept any complex x and y (evenness in y is applied
 internally).  ``relative_error`` is the shared comparison metric, and
@@ -37,12 +39,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 REAL_AXIS = "real-axis"
 CONTOUR = "contour"
@@ -180,6 +180,33 @@ def _line_profile(x: complex, y: complex, c: float) -> tuple[np.ndarray, float]:
     return profile, float(np.polyval(profile, critical).max())
 
 
+def quad(integrand, lo: float, hi: float, epsrel: float,
+         levels: int) -> tuple[complex, float]:
+    """Trapezoid rule for a vectorised ``integrand`` on [lo, hi].
+
+    Starts from 16 intervals and halves the step, at most ``levels`` times,
+    until two successive estimates differ by at most ``epsrel`` times the
+    latest; returns that estimate and the difference as its error.  On an
+    entire integrand that has decayed to nothing at both ends the rule
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    """
+    n = 16
+    h = (hi - lo) / n
+    f = integrand(lo + h * np.arange(n + 1))
+    total = h * (f.sum() - 0.5 * (f[0] + f[-1]))
+    err = math.inf
+    for _ in range(levels):
+        h *= 0.5
+        midpoints = lo + h * np.arange(1, 2 * n, 2)
+        refined = 0.5 * total + h * integrand(midpoints).sum()
+        n *= 2
+        err = abs(refined - total)
+        total = refined
+        if err <= epsrel * abs(total):
+            break
+    return complex(total), err
+
+
 def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
     # The flip stays here rather than in a shared helper: the contour must
     # accept y = 0, which the expansion's normalisation rejects.
@@ -206,23 +233,19 @@ def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
             "contour quadrature exponent exceeds double-precision range",
             estimate=complex(math.nan, math.nan), achieved_error=math.inf)
 
-    def integrand(s: float) -> complex:
-        u = complex(s, c)
-        return cmath.exp(-u ** 4 - x * u * u + 1j * y * u - peak)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        u = s + 1j * c
+        u2 = u * u
+        return np.exp(-u2 * u2 - x * u2 + 1j * y * u - peak)
 
+    # relative only: the scaled integral falls like sqrt(pi/x) at large x
     epsrel = max(1e-13, config.rel_tol / 10.0)
-    limit = 50 * config.max_subdivisions
-    with _warnings.catch_warnings():
-        # the explicit tolerance check below replaces scipy's advisory;
-        # no epsabs, as the scaled integral falls like sqrt(pi/x) at large x
-        _warnings.simplefilter("ignore", IntegrationWarning)
-        total, err = quad(integrand, lo, hi, complex_func=True,
-                          epsabs=0.0, epsrel=epsrel, limit=limit)
+    total, err = quad(integrand, lo, hi, epsrel, 4 + config.max_subdivisions)
 
     try:
         scale = 0.5 * math.exp(peak)
         result = total * scale
-        achieved = abs(err) * scale
+        achieved = err * scale
     except OverflowError:
         raise ConvergenceError(
             "contour quadrature result exceeds double-precision range",

@@ -1,22 +1,26 @@
 """Quadrature-oracle tests.
 
 The two strategies are independent implementations (mpmath panel sums on
-the real axis vs scipy on a horizontal line through a saddle of the
-exponent), so their agreement is the strongest internal check; external
-anchors are the exact value at the origin, evenness in y, reality on the
-real axis, the leading magnitude law, and an mpmath evaluation of the
-rotated variant.
+the real axis vs a numpy trapezoid rule on a horizontal line through a
+saddle of the exponent), so their agreement is the strongest internal
+check; external anchors are the exact value at the origin, evenness in y,
+reality on the real axis, the leading magnitude law, and an mpmath
+evaluation of the rotated variant.
 """
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import pearcey.quadrature as quadrature
 from pearcey import (CONTOUR, REAL_AXIS, ConvergenceError, QuadratureConfig,
                      pearcey_bar, pearcey_quadrature, relative_error)
 
@@ -72,6 +76,11 @@ class TestStrategyAgreement:
         (16 - 3.4j, -3.9 + 3.2j),
         (21.1, -8.8 + 1.2j),
         (26.1, -6.9 + 3.1j),
+        # an adaptive Gauss-Kronrod rule on the same line stalled here
+        (-6.066738739462366 - 4.216903436258711j,
+         1.6120735280425345 - 1.1534113350145476j),
+        (-6.899195060181565 + 3.5539594552838967j,
+         -9.147912253704021 - 3.2558045070914052j),
     ])
     def test_cross_check(self, x, y):
         contour = pearcey_quadrature(x, y)
@@ -215,3 +224,39 @@ class TestConvergenceFailure:
         assert err.achieved_error > 0
         reference = pearcey_quadrature(1.0, 10.0)
         assert relative_error(err.estimate, reference) <= 1e-9
+
+    @pytest.mark.parametrize("x,y,config", [
+        (1.0, 10.0, QuadratureConfig(rel_tol=1e-40, abs_tol=1e-60)),
+        # a point the horizontal line cannot resolve: the rule runs to its cap
+        (-4.567106744928893 - 4.166975080229847j,
+         7.67418811055165 - 1.2731125396418272j, None),
+    ])
+    def test_contour_node_count_capped(self, monkeypatch, x, y, config):
+        nodes = 0
+        rule = quadrature.quad
+
+        def counted(integrand, *args):
+            def counted_integrand(s):
+                nonlocal nodes
+                nodes += s.size
+                return integrand(s)
+            return rule(counted_integrand, *args)
+
+        monkeypatch.setattr(quadrature, "quad", counted)
+        with pytest.raises(ConvergenceError) as info:
+            pearcey_quadrature(x, y, config)
+        assert cmath.isfinite(info.value.estimate)
+        # 16 intervals halved 4 + max_subdivisions = 10 times
+        assert 0 < nodes <= 16 * 2 ** 10 + 1
+
+
+def test_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, pearcey, pearcey.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
