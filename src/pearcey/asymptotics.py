@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .coefficients import CoefficientTable, build_table
+from .coefficients import MAX_ORDER, build_table
 
 _PI = math.pi
 _AMP = math.sqrt(_PI / 3.0) / 2.0 ** (5.0 / 6.0)
@@ -60,7 +60,6 @@ class EvalPoint:
     """Evaluation point after the evenness reduction to Re y >= 0."""
 
     x: complex
-    y_raw: complex
     y: complex
     theta: float
 
@@ -102,7 +101,7 @@ def normalize(x: complex, y: complex) -> EvalPoint:
         raise ValueError(
             "asymptotic expansion undefined at y = 0; use quadrature")
     y_norm = -y if y.real < 0 else y
-    return EvalPoint(x=x, y_raw=y, y=y_norm, theta=cmath.phase(y_norm))
+    return EvalPoint(x=x, y=y_norm, theta=cmath.phase(y_norm))
 
 
 def classify_region(point: EvalPoint) -> Region:
@@ -151,23 +150,12 @@ def _partial_sums(k: int, series: tuple[complex, ...], logy: complex,
         yield total
 
 
-def series_sum(k: int, table: CoefficientTable, y: complex, order: int) -> complex:
-    """Partial sum of branch k's inverse-power series through ``order``."""
-    if k not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {k}")
-    if y == 0:
-        raise ValueError("series undefined at y = 0")
-    if not 0 <= order <= table.max_order:
-        raise ValueError(
-            f"order {order} outside table range 0..{table.max_order}")
-    *_, total = _partial_sums(k, table.series, cmath.log(y), order)
-    return total
-
-
 def pearcey_branch(k: int, x: complex, y: complex, order: int) -> complex:
     """Single branch P_k(x, y) through ``order``, at y as given."""
     table = build_table(x, order)
-    return prefactor(k, complex(x), y) * series_sum(k, table, y, order)
+    pref = prefactor(k, complex(x), y)  # rejects a bad branch and y = 0
+    *_, total = _partial_sums(k, table.series, cmath.log(y), order)
+    return pref * total
 
 
 def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResult:
@@ -178,6 +166,10 @@ def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResul
     """
     if order < 0:
         raise ValueError(f"index precondition violated: need order >= 0, got {order}")
+    if order > MAX_ORDER - 1:
+        # the error estimate reads one coefficient beyond ``order``
+        raise ValueError(
+            f"order {order} exceeds the supported cap {MAX_ORDER - 1}")
     point = normalize(x, y)
     region = classify_region(point)
     table = build_table(point.x, order + 1)

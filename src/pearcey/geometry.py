@@ -6,18 +6,20 @@ exponent is |y|^(4/3) * f(t) - x y^(2/3) t^2 with the rotated phase
     f(t) = exp(4i*theta/3) * (i*t - t^4),        theta = arg y.
 
 f has three stationary points; the two relevant ones sit at angle pi/6
-and 5pi/6 on the circle |t| = 2^(-2/3).  The contour of integration is
-bent through one or both of them along the steepest-descent lines of the
-quadratic part of f, and everything downstream (series coefficients,
-truncation limits, discarded-tail bounds) is phrased in the scaled
-displacement u = (t - t_saddle) * y^(2/3) along those lines.
+and 5pi/6 on the circle |t| = 2^(-2/3).  The modified saddle point method
+uses this geometry to justify the expansion, not to evaluate it: no
+runtime path integrates along a saddle contour.  Two kinds of reader
+remain, and this module keeps only what they need.
 
-This module holds the phase, its exact quartic Taylor forms about each
-saddle, the residual exponents h_k left over after the Gaussian factor is
-split off, their polynomial expansions, the path of the bent contour
-(``saddle_path``), and the geometry of the central region derived from
-that path: the u-interval each branch integrates over and the decay rate
-of the two tails that the expansion discards.
+* The acceptance gate checks the saddle analysis itself: the phase and
+  its derivative, the exact quartic Taylor forms about each saddle
+  (``phase_taylor``), the saddle set, and the decay rate of the two tails
+  the expansion discards (``tail_decay_rate``).
+* The residual exponent h_k left over after the Gaussian factor is split
+  off (``residual_exponent``) is the independent reference for the
+  runtime weights in ``coefficients.expansion_weight``: summing
+  ``residual_series_coeff``, which is built from those weights, must
+  reproduce exp(h_k) term by term.
 """
 
 from __future__ import annotations
@@ -132,88 +134,19 @@ def residual_series_coeff(n: int, x: complex, u: complex, branch: int) -> comple
     return cmath.exp(sign * 1j * n * _PI / 3.0) * total
 
 
-def saddle_path(theta: float) -> tuple[complex, ...]:
-    """Vertices (u, t2, corner, t1, w) of the bent contour at theta = arg y.
-
-    The tent, before the y^(1/3) scaling, runs from the junction u with the
-    original half-line along saddle 2's steepest-descent line, through the
-    corner where that line crosses saddle 1's, and out along saddle 1's line
-    to the junction w.  The junctions sit 2^(-2/3) past each saddle, beyond
-    the points where Re f could rise again, so for |theta| <= 3pi/8 both
-    ends rejoin the half-line on a falling modulus.
-    """
-    d1 = cmath.exp(-1j * (_PI + 4.0 * theta) / 6.0)
-    d2 = cmath.exp(1j * (_PI - 4.0 * theta) / 6.0)
-    w = _T1 + _R_SADDLE * d1
-    u = _T2 - _R_SADDLE * d2
-    # corner where the two saddle lines cross: t1 + s d1 = t2 + r d2
-    det = d1.real * (-d2.imag) - d1.imag * (-d2.real)
-    gap = _T2 - _T1
-    along1 = (gap.real * (-d2.imag) - gap.imag * (-d2.real)) / det
-    corner = _T1 + along1 * d1
-    return u, _T2, corner, _T1, w
-
-
 def tail_decay_rate(theta: float) -> float:
-    """Largest Re f over the two tails the bent contour discards.
+    """Largest Re f over the two tails the saddle expansion discards.
 
-    Both tails run along the original half-line direction, where Re f
-    decreases monotonically, so the maximum sits at the junction points
-    and the discarded contribution is O(exp(|y|^(4/3) * rate)).  The rate
-    stays below -1.38 throughout the two-saddle sector |theta| <= pi/8.
+    The steepest-descent lines through the saddles rejoin the original
+    half-line at the junctions w = t1 + 2^(-2/3) exp(-i(pi+4theta)/6) and
+    u = t2 - 2^(-2/3) exp(i(pi-4theta)/6).  Beyond them Re f decreases
+    monotonically, so the maximum sits at a junction and the discarded
+    contribution is O(exp(|y|^(4/3) * rate)).  The rate stays below -1.38
+    throughout the two-saddle sector |theta| <= pi/8.
     """
-    if abs(theta) > _PI / 8.0:
+    if not abs(theta) <= _PI / 8.0:
         raise ValueError(
             f"tail rate defined for |theta| <= pi/8, got theta={theta}")
-    path = saddle_path(theta)
-    return max(phase(path[-1], theta).real, phase(path[0], theta).real)
-
-
-def tail_bound(theta: float, y_mod: float) -> float:
-    """Magnitude bound exp(y_mod^(4/3) * tail_decay_rate(theta))."""
-    if y_mod <= 0:
-        raise ValueError(f"need y_mod > 0, got {y_mod}")
-    return math.exp(y_mod ** (4.0 / 3.0) * tail_decay_rate(theta))
-
-
-@dataclass(frozen=True)
-class CasePathLimits:
-    """u-interval one branch integrates over, with its tail junction.
-
-    ``tail_peak`` is the t-plane point where the discarded tail attaches
-    (and where its integrand modulus peaks).
-    """
-
-    branch: int
-    u_minus: float
-    u_plus: float
-    tail_peak: complex
-
-
-def case3_path_limits(theta: float, y_mod: float, branch: int) -> CasePathLimits:
-    """Finite u-limits of branch 1 or 2 in the two-saddle sector.
-
-    Along each steepest-descent segment the scaled displacement u runs
-    from the inter-saddle corner to the junction with the original
-    half-line; both endpoints grow like |y|^(2/3).
-    """
-    if abs(theta) > _PI / 8.0:
-        raise ValueError(
-            f"two-saddle limits defined for |theta| <= pi/8, got theta={theta}")
-    if y_mod <= 0:
-        raise ValueError(f"need y_mod > 0, got {y_mod}")
-    u, t2, corner, t1, w = saddle_path(theta)
-    scale = y_mod ** (2.0 / 3.0)
-    if branch == 1:
-        return CasePathLimits(
-            branch=1,
-            u_minus=-abs(corner - t1) * scale,
-            u_plus=abs(w - t1) * scale,
-            tail_peak=w)
-    if branch == 2:
-        return CasePathLimits(
-            branch=2,
-            u_minus=-abs(u - t2) * scale,
-            u_plus=abs(corner - t2) * scale,
-            tail_peak=u)
-    raise ValueError(f"branch must be 1 or 2, got {branch}")
+    w = _T1 + _R_SADDLE * cmath.exp(-1j * (_PI + 4.0 * theta) / 6.0)
+    u = _T2 - _R_SADDLE * cmath.exp(1j * (_PI - 4.0 * theta) / 6.0)
+    return max(phase(w, theta).real, phase(u, theta).real)

@@ -154,6 +154,13 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_order_above_cap_names_the_given_order(self, capsys):
+        code, out, err = run(capsys, "eval", "--x", "1", "--y", "10",
+                             "--order", "64")
+        assert code == 3
+        assert out == ""
+        assert "order 64" in err and "cap 63" in err
+
     @pytest.mark.parametrize("argv", [
         ("eval", "--x", "1"),
         ("eval", "--x", "1", "--y", "5", "--y-mod", "5"),

@@ -1,9 +1,9 @@
 """Saddle-geometry tests.
 
-The phase, its Taylor forms, the residual exponents, and the truncation
-geometry are all checked against hand-derived values or against each
-other through independent constructions (finite differences, explicit
-junction formulas, term-by-term expansion of exp(h)).
+The phase, its Taylor forms, the residual exponents, and the tail decay
+rate are all checked against hand-derived values or against each other
+through independent constructions (finite differences, explicit junction
+formulas, term-by-term expansion of exp(h)).
 """
 
 import cmath
@@ -13,9 +13,8 @@ import random
 import pytest
 
 from pearcey import phase, saddle_points, tail_decay_rate
-from pearcey.geometry import (case3_path_limits, phase_derivative,
-                              phase_taylor, residual_exponent,
-                              residual_series_coeff, tail_bound)
+from pearcey.geometry import (phase_derivative, phase_taylor,
+                              residual_exponent, residual_series_coeff)
 
 PI = math.pi
 R_SADDLE = 2.0 ** (-2.0 / 3.0)
@@ -195,68 +194,6 @@ class TestTailDecay:
             assert tail_decay_rate(theta) <= -1.38077 + 1e-4
 
     def test_domain(self):
-        with pytest.raises(ValueError, match="pi/8"):
-            tail_decay_rate(0.5)
-
-    def test_bound_is_exp_of_rate(self):
-        assert tail_bound(0.1, 20.0) == pytest.approx(
-            math.exp(20.0 ** (4 / 3) * tail_decay_rate(0.1)), rel=1e-14)
-        assert tail_bound(0.0, 30.0) < 1e-50
-
-    def test_bound_domain(self):
-        with pytest.raises(ValueError, match="y_mod"):
-            tail_bound(0.0, 0.0)
-
-
-class TestCasePathLimits:
-    def test_symmetric_at_center(self):
-        lim = case3_path_limits(0.0, 8.0, 1)
-        assert lim.u_plus == pytest.approx(4.0 ** (2 / 3), rel=1e-14)
-        assert lim.u_minus == pytest.approx(-lim.u_plus, rel=1e-14)
-
-    @pytest.mark.parametrize("theta", [-PI / 8, -0.2, 0.0, 0.3, PI / 8])
-    @pytest.mark.parametrize("y_mod", [5.0, 30.0])
-    def test_explicit_formulas(self, theta, y_mod):
-        lim1 = case3_path_limits(theta, y_mod, 1)
-        lim2 = case3_path_limits(theta, y_mod, 2)
-        edge = (y_mod / 2.0) ** (2 / 3)
-        corner = (2.0 * y_mod * y_mod) ** (1 / 3)
-        assert lim1.u_plus == pytest.approx(edge, rel=1e-14)
-        assert lim1.u_minus == pytest.approx(
-            -corner * math.cos((PI + 2 * theta) / 3), rel=1e-14)
-        assert lim2.u_minus == pytest.approx(-edge, rel=1e-14)
-        assert lim2.u_plus == pytest.approx(
-            corner * math.cos((PI - 2 * theta) / 3), rel=1e-14)
-
-    @pytest.mark.parametrize("theta", [-PI / 8, -0.11, 0.0, 0.25, PI / 8])
-    def test_endpoints_land_on_junctions_and_shared_corner(self, theta):
-        # mapping u back to the t plane must reproduce the junction points
-        # on both branches and a single corner common to the two lines
-        y_mod = 12.0
-        s = saddle_points()
-        scale = y_mod ** (-2 / 3)
-        lim1 = case3_path_limits(theta, y_mod, 1)
-        lim2 = case3_path_limits(theta, y_mod, 2)
-        t_far1 = s.t1 + lim1.u_plus * scale * branch_direction(theta, 1)
-        t_far2 = s.t2 + lim2.u_minus * scale * branch_direction(theta, 2)
-        assert t_far1 == pytest.approx(junction(theta, 1), rel=1e-13)
-        assert t_far2 == pytest.approx(junction(theta, 2), rel=1e-13)
-        assert lim1.tail_peak == pytest.approx(junction(theta, 1), rel=1e-13)
-        assert lim2.tail_peak == pytest.approx(junction(theta, 2), rel=1e-13)
-        corner1 = s.t1 + lim1.u_minus * scale * branch_direction(theta, 1)
-        corner2 = s.t2 + lim2.u_plus * scale * branch_direction(theta, 2)
-        assert corner1 == pytest.approx(corner2, rel=1e-12)
-
-    def test_limits_scale_like_y_to_two_thirds(self):
-        hi = case3_path_limits(0.1, 16.0, 1)
-        lo = case3_path_limits(0.1, 2.0, 1)
-        assert hi.u_plus / lo.u_plus == pytest.approx(4.0, rel=1e-13)
-        assert hi.u_minus / lo.u_minus == pytest.approx(4.0, rel=1e-13)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="pi/8"):
-            case3_path_limits(0.5, 10.0, 1)
-        with pytest.raises(ValueError, match="y_mod"):
-            case3_path_limits(0.1, -3.0, 1)
-        with pytest.raises(ValueError, match="branch"):
-            case3_path_limits(0.1, 10.0, 3)
+        for theta in (0.5, -0.5, math.nan):
+            with pytest.raises(ValueError, match="pi/8"):
+                tail_decay_rate(theta)

@@ -1,0 +1,55 @@
+"""Package-level tests: the public surface and the benchmark's hook points.
+
+The top-level namespace was cut to the names below on purpose; a new
+export has to be added here as well.  The benchmark's tracer
+(``bench/spans.py``) wraps module globals by name, so renaming one of
+them should fail here, not only in the benchmark's own smoke run.
+"""
+
+import importlib
+import pathlib
+
+import pearcey
+import pearcey.asymptotics
+import pearcey.cli
+import pearcey.quadrature
+import pearcey.tables
+
+PUBLIC_NAMES = sorted([
+    "CONTOUR", "REAL_AXIS", "ConvergenceError", "Dominance",
+    "ExpansionResult", "PRESETS", "QuadratureConfig", "Region",
+    "build_table", "classify_region", "moment_coeff", "moment_coeff_closed",
+    "normalize", "pearcey_asymptotic", "pearcey_bar", "pearcey_quadrature",
+    "phase", "relative_error", "saddle_points", "series_coeff",
+    "stokes_classification", "table_rows", "tail_decay_rate",
+])
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_public_surface():
+    assert sorted(pearcey.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(pearcey, name), name
+
+
+def test_benchmark_hooks_install_and_restore(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    hooked = [(pearcey.asymptotics, "build_table"),
+              (pearcey.asymptotics, "prefactor"),
+              (pearcey.quadrature, "quad"),
+              (pearcey.cli, "table_rows")]
+    for module in (pearcey.tables, pearcey.cli):
+        hooked += [(module, "pearcey_asymptotic"), (module, "pearcey_quadrature")]
+    originals = [getattr(module, attr) for module, attr in hooked]
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        for (module, attr), original in zip(hooked, originals):
+            assert getattr(module, attr) is not original, f"{attr} not hooked"
+    finally:
+        tracer.uninstall()
+    for (module, attr), original in zip(hooked, originals):
+        assert getattr(module, attr) is original, f"{attr} not restored"
