@@ -10,10 +10,18 @@ on theta:
     CASE2    pi/8 < theta <= pi/2    only the second branch contributes
 
 Each branch is an exponential prefactor times an inverse-power series in
-y^(2/3) with coefficients A_n(x).  On the positive real axis the two
-branches are complex conjugates and their sum is real; crossing theta = 0
-exchanges which branch dominates (a Stokes line), and at theta = +-3pi/8
-both have equal modulus (anti-Stokes lines).
+y^(2/3) with coefficients A_n(x).  For real x the prefactors satisfy
+
+    log|p2/p1| = sqrt(3) |y|^(2/3) (3 4^(-4/3) |y|^(2/3) sin(4 theta/3)
+                                    - 4^(-2/3) x sin(2 theta/3)).
+
+On the positive real axis the two branches are complex conjugates, equal
+in modulus, and their sum is real; crossing theta = 0 exchanges which
+branch dominates.  At theta = +-3pi/8 the leading term peaks and one
+branch is as dominant as it gets.  In the convention of DLMF 2.11(iv)
+theta = 0 is thus an anti-Stokes line and theta = +-3pi/8 are Stokes
+lines.  The paper calls the rays at +-3pi/8 anti-Stokes lines, and
+``StokesInfo.on_anti_stokes`` keeps the paper's name.
 
 All fractional powers of y are principal-branch.  The expansion degrades
 as |y| shrinks; below |y| = 5 the leading omitted term is no longer a
@@ -221,8 +229,10 @@ def stokes_classification(y: complex) -> StokesInfo:
 
     Im y > 0 makes the second branch dominant, Im y < 0 the first; on the
     positive real axis both are equal in modulus and beat against each
-    other.  The anti-Stokes flag marks |theta| within 1e-12 of 3pi/8,
-    where the moduli cross.
+    other, so that is where the moduli cross.  ``on_anti_stokes`` marks
+    |theta| within 1e-12 of 3pi/8, where one branch is most dominant.
+    That ray is a Stokes line in the DLMF 2.11(iv) convention; the flag
+    keeps the paper's name for it.
     """
     point = normalize(0.0, y)
     if point.y.imag > 0:

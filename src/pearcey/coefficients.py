@@ -69,6 +69,14 @@ def expansion_weight(n: int, m: int, k: int, x: complex) -> complex:
     return num / (_factorial(k) * _factorial(2 * m - n - k) * _factorial(n - m))
 
 
+def _finite(x: complex) -> complex:
+    """x as a complex number; NaN or infinite parts raise ValueError."""
+    x = complex(x)
+    if not cmath.isfinite(x):
+        raise ValueError(f"x must be finite, got x={x!r}")
+    return x
+
+
 def _moment_seq(x: complex, nmax: int) -> list[complex]:
     c = [complex(0)] * (nmax + 1)
     c[0] = complex(1)
@@ -83,7 +91,7 @@ def moment_coeff(n: int, x: complex) -> complex:
     """Scaled Gaussian moment c_n(x) via the three-term recursion."""
     if n < 0:
         raise ValueError(f"index precondition violated: need n >= 0, got n={n}")
-    return _moment_seq(complex(x), n)[n]
+    return _moment_seq(_finite(x), n)[n]
 
 
 def moment_coeff_closed(n: int, x: complex) -> complex:
@@ -93,7 +101,7 @@ def moment_coeff_closed(n: int, x: complex) -> complex:
     """
     if n < 0:
         raise ValueError(f"index precondition violated: need n >= 0, got n={n}")
-    x = complex(x)
+    x = _finite(x)
     if x == 0:
         raise ValueError("closed-form moment undefined at x = 0; "
                          "use the recursion form")
@@ -119,7 +127,7 @@ def series_coeff(n: int, x: complex) -> complex:
     """
     if n < 0:
         raise ValueError(f"index precondition violated: need n >= 0, got n={n}")
-    x = complex(x)
+    x = _finite(x)
     return _series_from_moments(n, x, _moment_seq(x, 3 * n))
 
 
@@ -143,9 +151,7 @@ def build_table(x: complex, max_order: int) -> CoefficientTable:
     if max_order > MAX_ORDER:
         raise ValueError(
             f"max_order {max_order} exceeds the supported cap {MAX_ORDER}")
-    x = complex(x)
-    if not cmath.isfinite(x):
-        raise ValueError(f"x must be finite, got x={x!r}")
+    x = _finite(x)
     c = _moment_seq(x, 3 * max_order)
     a = [_series_from_moments(n, x, c) for n in range(max_order + 1)]
     return CoefficientTable(max_order=max_order,

@@ -33,6 +33,10 @@ Both strategies accept any complex x and y (evenness in y is applied
 internally).  ``relative_error`` is the shared comparison metric, and
 ``pearcey_bar`` exposes the rotated variant that the oscillatory
 canonical form reduces to.
+
+Neither backend is imported with this module: the contour imports numpy
+on its first call and REAL_AXIS imports mpmath on its first call, so
+``import pearcey`` and the expansion load neither library.
 """
 
 from __future__ import annotations
@@ -40,9 +44,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import mpmath as mp
-import numpy as np
 
 REAL_AXIS = "real-axis"
 CONTOUR = "contour"
@@ -124,6 +125,8 @@ def relative_error(approx: complex, reference: complex) -> float:
 
 
 def _real_axis_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
+    import mpmath as mp
+
     with mp.workdps(config.working_precision_digits):
         xm = mp.mpc(x)
         ym = mp.mpc(y)
@@ -167,12 +170,14 @@ def _real_axis_value(x: complex, y: complex, config: QuadratureConfig) -> comple
             estimate=complex(best), achieved_error=float(best_err))
 
 
-def _line_profile(x: complex, y: complex, c: float) -> tuple[np.ndarray, float]:
+def _line_profile(x: complex, y: complex, c: float):
     """Re of the exponent along t = s + ic as a real quartic in s, and its peak.
 
     The quartic has leading coefficient -1, so its largest value at the real
     parts of its critical points is its maximum over the real line.
     """
+    import numpy as np
+
     profile = np.array([-1.0, 0.0, 6.0 * c * c - x.real,
                         2.0 * c * x.imag - y.imag,
                         c * c * (x.real - c * c) - c * y.real])
@@ -190,6 +195,8 @@ def quad(integrand, lo: float, hi: float, epsrel: float,
     entire integrand that has decayed to nothing at both ends the rule
     converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
     """
+    import numpy as np
+
     n = 16
     h = (hi - lo) / n
     f = integrand(lo + h * np.arange(n + 1))
@@ -208,6 +215,8 @@ def quad(integrand, lo: float, hi: float, epsrel: float,
 
 
 def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
+    import numpy as np
+
     # The flip stays here rather than in a shared helper: the contour must
     # accept y = 0, which the expansion's normalisation rejects.
     if y.real < 0:
@@ -233,7 +242,7 @@ def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
             "contour quadrature exponent exceeds double-precision range",
             estimate=complex(math.nan, math.nan), achieved_error=math.inf)
 
-    def integrand(s: np.ndarray) -> np.ndarray:
+    def integrand(s):
         u = s + 1j * c
         u2 = u * u
         return np.exp(-u2 * u2 - x * u2 + 1j * y * u - peak)

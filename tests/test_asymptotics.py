@@ -249,3 +249,17 @@ class TestStokesClassification:
     def test_origin_rejected(self):
         with pytest.raises(ValueError, match="y = 0"):
             stokes_classification(0.0)
+
+    def test_branch_moduli_geometry(self):
+        # log|p2/p1| = 3^(3/2) 4^(-4/3) |y|^(4/3) sin(4 theta/3) at x = 0:
+        # equal moduli on the real axis, branch 2 most dominant at 3pi/8
+        def log_ratio(theta):
+            y = polar(20, theta)
+            return math.log(abs(prefactor(2, 0.0, y)) / abs(prefactor(1, 0.0, y)))
+
+        assert abs(prefactor(1, 0.0, 20.0)) == pytest.approx(
+            abs(prefactor(2, 0.0, 20.0)), rel=1e-14)
+        grid = [k * PI / 64 for k in range(-32, 33)]
+        ratios = [log_ratio(theta) for theta in grid]
+        assert grid[ratios.index(max(ratios))] == pytest.approx(3 * PI / 8)
+        assert grid[ratios.index(min(ratios))] == pytest.approx(-3 * PI / 8)

@@ -8,6 +8,7 @@ Covers, in order:
 3. series coefficients: normalisation, the hand-derived order-1 formula,
    reality for real x
 4. table assembly: consistency, stored-recursion residual, order cap
+5. non-finite x: every public coefficient function rejects NaN and inf
 """
 
 import cmath
@@ -172,3 +173,15 @@ class TestTable:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="precondition"):
             build_table(1.0, -1)
+
+
+class TestNonFiniteX:
+    @pytest.mark.parametrize("func", [moment_coeff, moment_coeff_closed,
+                                      series_coeff, build_table],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf,
+                                   complex(1.0, math.nan),
+                                   complex(0.0, math.inf)])
+    def test_rejected(self, func, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            func(x, 3) if func is build_table else func(3, x)

@@ -250,13 +250,37 @@ class TestConvergenceFailure:
         assert 0 < nodes <= 16 * 2 ** 10 + 1
 
 
+# One fresh interpreter per route: what it runs, and the top-level modules
+# it must leave unloaded.  scipy is gone from the package altogether; each
+# quadrature strategy imports only its own backend, on its first call.
+_ROUTE_IMPORTS = {
+    "expansion and cli": (
+        "import pearcey, pearcey.cli\n"
+        "pearcey.pearcey_asymptotic(1, 20)\n"
+        "pearcey.cli.main(['eval', '--x', '1', '--y', '20'])\n",
+        ("scipy", "numpy", "mpmath")),
+    "real axis": (
+        "import pearcey\n"
+        "pearcey.pearcey_quadrature(1, 2, pearcey.QuadratureConfig(\n"
+        "    strategy=pearcey.REAL_AXIS, working_precision_digits=30))\n",
+        ("scipy", "numpy")),
+    "contour": (
+        "import pearcey\n"
+        "pearcey.pearcey_quadrature(1, 2)\n",
+        ("scipy", "mpmath")),
+}
+
+
 def test_import_loads_no_scipy():
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    code = ("import sys, pearcey, pearcey.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    loaded = {}
+    for route, (code, unwanted) in _ROUTE_IMPORTS.items():
+        code += ("import sys\n"
+                 f"print(sorted({{m.partition('.')[0] for m in sys.modules}}"
+                 f" & {set(unwanted)!r}))\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        loaded[route] = out.strip().splitlines()[-1]
+    assert loaded == dict.fromkeys(_ROUTE_IMPORTS, "[]")
