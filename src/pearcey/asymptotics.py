@@ -129,6 +129,8 @@ def prefactor(k: int, x: complex, y: complex) -> complex:
     """
     if k not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {k}")
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise ValueError(f"x and y must be finite, got x={x!r}, y={y!r}")
     if y == 0:
         raise ValueError("prefactor undefined at y = 0")
     x = complex(x)

@@ -59,6 +59,8 @@ def saddle_points() -> SaddleSet:
 
 def phase(t: complex, theta: float) -> complex:
     """Rotated phase f(t) = exp(4i*theta/3) (i t - t^4)."""
+    if not (cmath.isfinite(t) and cmath.isfinite(theta)):
+        raise ValueError(f"t and theta must be finite, got t={t!r}, theta={theta!r}")
     return cmath.exp(4j * theta / 3.0) * (1j * t - t ** 4)
 
 

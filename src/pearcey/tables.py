@@ -86,9 +86,17 @@ PRESETS = {1: TABLE1, 2: TABLE2}
 def table_rows(spec: TableSpec,
                oracle: QuadratureConfig | None = None
                ) -> Iterator[tuple[str, int, float]]:
-    """Yield (y_label, order, relative_error) cells, row-major."""
+    """Yield (y_label, order, relative_error) cells, row-major.
+
+    Each row makes one oracle call and one expansion call at the highest
+    order; its partial sums are the lower orders' values, bit for bit.
+    """
+    if any(order < 0 for order in spec.orders):
+        raise ValueError(
+            f"index precondition violated: need orders >= 0, got {spec.orders}")
+    top = max(spec.orders, default=0)
     for row in spec.rows:
         reference = pearcey_quadrature(spec.x, row.y, oracle)
+        partial_sums = pearcey_asymptotic(spec.x, row.y, top).partial_sums
         for order in spec.orders:
-            approx = pearcey_asymptotic(spec.x, row.y, order).value
-            yield row.label, order, relative_error(approx, reference)
+            yield row.label, order, relative_error(partial_sums[order], reference)

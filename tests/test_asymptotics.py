@@ -55,6 +55,9 @@ class TestNormalize:
             normalize(x, y)
         with pytest.raises(ValueError, match="finite"):
             pearcey_asymptotic(x, y)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="finite"):
+                prefactor(k, x, y)
 
 
 class TestClassifyRegion:
@@ -197,6 +200,18 @@ class TestPearceyAsymptotic:
     def test_real_on_real_axis(self, x, y):
         res = pearcey_asymptotic(x, y, order=5)
         assert abs(res.value.imag) <= 1e-10 * abs(res.value)
+
+    @pytest.mark.parametrize("x", [complex(1.0, 0.5), complex(-2.0, -0.3)])
+    @pytest.mark.parametrize("y", [20.0, polar(20, PI / 4), polar(20, -3 * PI / 8)],
+                             ids=["CASE3", "CASE2", "CASE1"])
+    def test_partial_sums_equal_lower_orders(self, x, y):
+        # table_rows reads every order of a row from one expansion's partial
+        # sums, so they must equal the lower-order values exactly
+        values = [pearcey_asymptotic(x, y, n).value for n in range(12)]
+        for top in range(1, 13):
+            partial_sums = pearcey_asymptotic(x, y, top).partial_sums
+            for n in range(top):
+                assert partial_sums[n] == values[n], (top, n)
 
     def test_first_omitted_matches_components(self):
         x, y, order = 1.0, 30.0, 4

@@ -48,6 +48,14 @@ class TestPhase:
         assert phase(s.t1, 0.0) == pytest.approx(level, rel=1e-14)
         assert phase(s.t2, 0.0) == pytest.approx(level.conjugate(), rel=1e-14)
 
+    @pytest.mark.parametrize("t,theta", [
+        (math.nan, 1.0), (1.0, math.nan), (complex(math.inf, 0.0), 0.0),
+        (1j, -math.inf),
+    ])
+    def test_non_finite_rejected(self, t, theta):
+        with pytest.raises(ValueError, match="finite"):
+            phase(t, theta)
+
     def test_saddle_locations(self):
         s = saddle_points()
         assert s.t0 == pytest.approx(-1j * 4.0 ** (-1.0 / 3.0), rel=1e-15)

@@ -6,6 +6,7 @@ export has to be added here as well.  The benchmark's tracer
 them should fail here, not only in the benchmark's own smoke run.
 """
 
+import collections
 import importlib
 import pathlib
 
@@ -33,7 +34,7 @@ def test_public_surface():
         assert hasattr(pearcey, name), name
 
 
-def test_benchmark_hooks_install_and_restore(monkeypatch):
+def test_benchmark_hooks_install_and_restore(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(BENCH))
     spans = importlib.import_module("spans")
     hooked = [(pearcey.asymptotics, "build_table"),
@@ -49,6 +50,13 @@ def test_benchmark_hooks_install_and_restore(monkeypatch):
         tracer.install()
         for (module, attr), original in zip(hooked, originals):
             assert getattr(module, attr) is not original, f"{attr} not hooked"
+        # the traced layer metrics count these spans: one table, and one
+        # expansion and one oracle call per row
+        assert pearcey.cli.main(["table", "--paper-table", "1"]) == 0
+        names = collections.Counter(span.name for span in tracer.spans)
+        assert names["tables.table_rows"] == 1
+        assert names["asymptotics.pearcey_asymptotic"] == 7
+        assert names["quadrature.contour"] == 7
     finally:
         tracer.uninstall()
     for (module, attr), original in zip(hooked, originals):
