@@ -34,7 +34,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .coefficients import MAX_ORDER, build_table
 
@@ -53,6 +52,10 @@ class Region(enum.Enum):
     CASE1 = "CASE1"
     CASE2 = "CASE2"
     CASE3 = "CASE3"
+
+
+_ACTIVE_BRANCHES = {Region.CASE1: (1,), Region.CASE2: (2,),
+                    Region.CASE3: (1, 2)}
 
 
 class Dominance(enum.Enum):
@@ -86,7 +89,9 @@ class ExpansionResult:
     term, so ``partial_sums[order] == value``; the branch contributions
     satisfy ``value == p1_contrib + p2_contrib`` with the inactive branch
     pinned to zero.  ``first_omitted_magnitude`` estimates the size of the
-    first dropped term and hence the achievable accuracy at this order.
+    first dropped term and hence the achievable accuracy at this order;
+    a value it does not undercut, or one that underflowed to zero, is not
+    resolved and carries a warning.
     """
 
     value: complex
@@ -149,23 +154,29 @@ def prefactor(k: int, x: complex, y: complex) -> complex:
     return cmath.exp(expo)
 
 
-def _partial_sums(k: int, series: tuple[complex, ...], logy: complex,
-                  order: int) -> Iterator[complex]:
-    """Running partial sums of branch k's inverse-power series, orders 0..order."""
+def branch_partial_sums(k: int, x: complex, y: complex,
+                        series: tuple[complex, ...],
+                        order: int) -> tuple[complex, list[complex]]:
+    """Prefactor of branch k and the branch truncated at each order 0..order.
+
+    ``series`` holds A_0..A_order (or more) at x; y is used as given.
+    """
+    pref = prefactor(k, x, y)  # rejects a bad branch and y = 0
+    logy = cmath.log(y)
     sgn = -1.0 if k == 1 else 1.0
     total = complex(0)
+    values = []
     for n in range(order + 1):
         term_phase = cmath.exp(sgn * (2 * n + 1) * 1j * _PI / 6.0)
         total += term_phase * series[n] * cmath.exp(-2.0 * n / 3.0 * logy)
-        yield total
+        values.append(pref * total)
+    return pref, values
 
 
 def pearcey_branch(k: int, x: complex, y: complex, order: int) -> complex:
     """Single branch P_k(x, y) through ``order``, at y as given."""
-    table = build_table(x, order)
-    pref = prefactor(k, complex(x), y)  # rejects a bad branch and y = 0
-    *_, total = _partial_sums(k, table.series, cmath.log(y), order)
-    return pref * total
+    series = build_table(x, order).series
+    return branch_partial_sums(k, x, y, series, order)[1][-1]
 
 
 def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResult:
@@ -184,13 +195,6 @@ def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResul
     region = classify_region(point)
     table = build_table(point.x, order + 1)
 
-    if region is Region.CASE1:
-        active = (1,)
-    elif region is Region.CASE2:
-        active = (2,)
-    else:
-        active = (1, 2)
-
     warnings: list[str] = []
     y_mod = abs(point.y)
     if y_mod < _SMALL_Y_WARNING:
@@ -198,28 +202,33 @@ def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResul
             f"|y| = {y_mod:.6g} is below {_SMALL_Y_WARNING:g}; the expansion "
             "error can exceed the first omitted term substantially")
 
-    prefs = {k: prefactor(k, point.x, point.y) for k in active}
-    if any(not cmath.isfinite(p) for p in prefs.values()):
-        warnings.append("exponential prefactor overflowed double precision; "
-                        "value saturated to infinite modulus")
+    inactive = (0.0, [complex(0)] * (order + 1))
+    (pref1, contrib1), (pref2, contrib2) = (
+        branch_partial_sums(k, point.x, point.y, table.series, order)
+        if k in _ACTIVE_BRANCHES[region] else inactive for k in (1, 2))
+    partial = [c1 + c2 for c1, c2 in zip(contrib1, contrib2)]
 
-    logy = cmath.log(point.y)
-    contribs = {k: [complex(0)] * (order + 1) for k in (1, 2)}
-    for k in active:
-        contribs[k] = [prefs[k] * s
-                       for s in _partial_sums(k, table.series, logy, order)]
-    partial = [c1 + c2 for c1, c2 in zip(contribs[1], contribs[2])]
-
-    omitted = (sum(abs(prefs[k]) for k in active)
+    omitted = ((abs(pref1) + abs(pref2))
                * abs(table.series[order + 1])
                * y_mod ** (-2.0 * (order + 1) / 3.0))
+    if not (cmath.isfinite(pref1) and cmath.isfinite(pref2)):
+        warnings.append("exponential prefactor overflowed double precision; "
+                        "value saturated to infinite modulus")
+    elif partial[-1] == 0:
+        warnings.append("value underflowed to zero in double precision; "
+                        "the expansion does not resolve P here")
+    elif omitted >= abs(partial[-1]):
+        warnings.append(
+            f"first omitted term {omitted:.3g} is not below |value| = "
+            f"{abs(partial[-1]):.3g}; the expansion does not resolve P "
+            "at this order")
 
     return ExpansionResult(
         value=partial[-1],
         order=order,
         region=region,
-        p1_contrib=contribs[1][-1],
-        p2_contrib=contribs[2][-1],
+        p1_contrib=contrib1[-1],
+        p2_contrib=contrib2[-1],
         partial_sums=tuple(partial),
         first_omitted_magnitude=omitted,
         warnings=tuple(warnings),

@@ -21,8 +21,8 @@ import re
 import sys
 from contextlib import nullcontext
 
-from .asymptotics import (classify_region, normalize, pearcey_asymptotic,
-                          pearcey_branch, stokes_classification)
+from .asymptotics import (branch_partial_sums, classify_region, normalize,
+                          pearcey_asymptotic, stokes_classification)
 from .coefficients import build_table
 from .quadrature import (CONTOUR, REAL_AXIS, ConvergenceError,
                          QuadratureConfig, pearcey_quadrature)
@@ -164,17 +164,20 @@ def _cmd_map(args, parser) -> int:
         parser.error("--grid-arg-steps must be at least 3")
     x = args.x
     steps = args.grid_arg_steps
+    series = build_table(x, args.order).series
+    rows = []
+    for step in range(steps):
+        theta = -math.pi / 2.0 + step * math.pi / (steps - 1)
+        y = args.y_mod * cmath.exp(1j * theta)
+        region = classify_region(normalize(x, y))
+        stokes = stokes_classification(y)
+        p1, p2 = (abs(branch_partial_sums(k, x, y, series, args.order)[1][-1])
+                  for k in (1, 2))
+        rows.append(f"{theta!r},{region.value},{stokes.dominant.value},"
+                    f"{stokes.on_anti_stokes},{p1!r},{p2!r}\n")
     with _open_out(args.out) as handle:
         handle.write("theta,region,dominant,on_anti_stokes,abs_p1,abs_p2\n")
-        for k in range(steps):
-            theta = -math.pi / 2.0 + k * math.pi / (steps - 1)
-            y = args.y_mod * cmath.exp(1j * theta)
-            region = classify_region(normalize(x, y))
-            stokes = stokes_classification(y)
-            p1 = abs(pearcey_branch(1, x, y, args.order))
-            p2 = abs(pearcey_branch(2, x, y, args.order))
-            handle.write(f"{theta!r},{region.value},{stokes.dominant.value},"
-                         f"{stokes.on_anti_stokes},{p1!r},{p2!r}\n")
+        handle.writelines(rows)
     return 0
 
 

@@ -121,14 +121,11 @@ def _series_from_moments(n: int, x: complex, c: list[complex]) -> complex:
 
 
 def series_coeff(n: int, x: complex) -> complex:
-    """Series coefficient A_n(x) of the y^(-2n/3) term.
+    """Series coefficient A_n(x) of the y^(-2n/3) term, 0 <= n <= MAX_ORDER.
 
     A_0 = 1 for every x; A_1(x) = 2^(1/3) x (9 - x^2) / 54.
     """
-    if n < 0:
-        raise ValueError(f"index precondition violated: need n >= 0, got n={n}")
-    x = _finite(x)
-    return _series_from_moments(n, x, _moment_seq(x, 3 * n))
+    return build_table(x, n).series[n]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ the Stokes/anti-Stokes classification.
 """
 
 import cmath
+import collections
 import math
 import random
 
@@ -14,6 +15,7 @@ import pytest
 
 from pearcey import (Dominance, Region, classify_region, normalize,
                      pearcey_asymptotic, series_coeff, stokes_classification)
+from pearcey import asymptotics
 from pearcey.asymptotics import EvalPoint, pearcey_branch, prefactor
 
 PI = math.pi
@@ -231,6 +233,38 @@ class TestPearceyAsymptotic:
         res = pearcey_asymptotic(0.0, -300j)
         assert not cmath.isfinite(res.value)
         assert any("overflow" in w for w in res.warnings)
+
+    @pytest.mark.parametrize("x,y,needle", [
+        # true values: 3.6e269 at (-50, 30), 0.0574 at (10, 8)
+        (-50.0, 30.0, "first omitted term"),
+        (10.0, 8.0, "first omitted term"),
+        (1.0, 1e4, "underflowed to zero"),
+    ])
+    def test_unresolved_warning(self, x, y, needle):
+        res = pearcey_asymptotic(x, y)
+        assert res.first_omitted_magnitude >= abs(res.value)
+        assert [w for w in res.warnings if "does not resolve" in w
+                and needle in w]
+
+    @pytest.mark.parametrize("y,prefactor_calls", [
+        (polar(20, -3 * PI / 8), 1), (polar(20, PI / 4), 1), (20.0, 2),
+    ], ids=["CASE1", "CASE2", "CASE3"])
+    def test_work_counts(self, monkeypatch, y, prefactor_calls):
+        # bench/spans.py reports these two counts as layer metrics
+        calls = collections.Counter()
+
+        def counted(name):
+            original = getattr(asymptotics, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(asymptotics, name, wrapper)
+
+        counted("build_table")
+        counted("prefactor")
+        pearcey_asymptotic(1.0, y, order=5)
+        assert calls == {"build_table": 1, "prefactor": prefactor_calls}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="y = 0"):

@@ -12,7 +12,10 @@ import math
 
 import pytest
 
-from pearcey import pearcey_asymptotic, pearcey_quadrature
+from pearcey import (build_table, classify_region, cli, normalize,
+                     pearcey_asymptotic, pearcey_quadrature,
+                     stokes_classification)
+from pearcey.asymptotics import pearcey_branch
 from pearcey.cli import main, parse_complex
 
 
@@ -275,6 +278,50 @@ class TestMap:
         assert float(center[0]) == 0.0
         assert center[1:4] == ["CASE3", "BOTH", "False"]
         assert float(center[4]) == float(center[5])
+
+    def test_rows_match_library(self, capsys):
+        x = complex(-2, 0.5)
+        code, out, _ = run(capsys, "map", "--x", "-2+0.5i", "--y-mod", "15",
+                           "--order", "12", "--grid-arg-steps", "31")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 31
+        for theta, region, dominant, on_anti, p1, p2 in rows:
+            y = 15.0 * cmath.exp(1j * float(theta))
+            stokes = stokes_classification(y)
+            assert region == classify_region(normalize(x, y)).value
+            assert dominant == stokes.dominant.value
+            assert on_anti == str(stokes.on_anti_stokes)
+            assert p1 == repr(abs(pearcey_branch(1, x, y, 12)))
+            assert p2 == repr(abs(pearcey_branch(2, x, y, 12)))
+
+    def test_one_table_per_sweep(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_table(*args)
+        monkeypatch.setattr(cli, "build_table", counted)
+        code, _, _ = run(capsys, "map", "--x", "1", "--y-mod", "20")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_failure_writes_nothing(self, capsys, tmp_path):
+        target = tmp_path / "map.csv"
+        code, _, err = run(capsys, "map", "--x", "1", "--y-mod", "20",
+                           "--order", "65", "--out", str(target))
+        assert code == 3
+        assert "cap" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--x", "1", "--y-mod", "nan"], ["--x", "1", "--y-mod", "inf"],
+        ["--x", "nan", "--y-mod", "20"]])
+    def test_non_finite_input_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "map", *argv)
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
 
     def test_validation(self, capsys):
         for argv in (["map", "--x", "1", "--y-mod", "20",

@@ -164,6 +164,8 @@ class TestTable:
         build_table(1.0, 64)
         with pytest.raises(ValueError, match="cap"):
             build_table(1.0, 65)
+        with pytest.raises(ValueError, match="cap"):
+            series_coeff(65, 1.0)
 
     def test_minimal_table(self):
         table = build_table(0.0, 0)
