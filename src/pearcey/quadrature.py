@@ -12,10 +12,11 @@ exactly (up to quadrature error), with no asymptotic content:
   working precision buys back the digits that cancellation destroys.
   It cuts the axis off where the integrand's envelope drops below the
   absolute tolerance and sums Gauss-Legendre panels a fraction of an
-  oscillation wide, doubling their number until the error estimate meets
-  the tolerance.  Slow and certain (about 5000 integrand evaluations and
-  0.1 to 1 s per paper-table point at 50 digits); the ground truth of
-  last resort.
+  oscillation wide in one pass: mpmath raises the degree on each panel
+  until it converges at the working precision, so a pass that misses the
+  tolerance has hit that precision's floor and is not refined.  Slow and
+  certain (about 5000 integrand evaluations and 0.1 to 1 s per
+  paper-table point at 50 digits); the ground truth of last resort.
 
 * ``CONTOUR`` writes P as half the integral of exp(-t^4 - x t^2 + i y t)
   over the whole real line and moves that line up or down to Im t = c.
@@ -29,10 +30,13 @@ exactly (up to quadrature error), with no asymptotic content:
   two estimates agree takes a median of 65 nodes and about 0.3 ms per
   point on a 2-core x86 host.
 
-Both strategies accept any complex x and y (evenness in y is applied
-internally).  ``relative_error`` is the shared comparison metric, and
-``pearcey_bar`` exposes the rotated variant that the oscillatory
-canonical form reduces to.
+Both strategies accept any finite complex x and y (evenness in y is
+applied internally) and share one acceptance rule: a result that misses
+the tolerance, or that overflows or underflows double precision, raises
+``ConvergenceError`` rather than coming back as a wrong value, inf or 0.
+``relative_error`` is the shared comparison metric, and ``pearcey_bar``
+exposes the rotated variant that the oscillatory canonical form reduces
+to.
 
 Neither backend is imported with this module: the contour imports numpy
 on its first call and REAL_AXIS imports mpmath on its first call, so
@@ -54,7 +58,8 @@ _MAX_PANELS = 100_000  # real-axis panels per pass; the panel list is built whol
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed its tolerance; carries the best estimate seen."""
+    """Quadrature failed its tolerance or left double range; carries the
+    estimate and its error (NaN and inf when no pass was made)."""
 
     def __init__(self, message: str, estimate: complex, achieved_error: float):
         super().__init__(message)
@@ -64,6 +69,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Oracle settings.  ``working_precision_digits`` is read by REAL_AXIS
+    only and ``max_subdivisions`` by the contour only; both strategies
+    accept a result when its error is at most max(abs_tol, rel_tol * |P|).
+    """
+
     strategy: str = CONTOUR
     working_precision_digits: int = 50
     abs_tol: float = 1e-30
@@ -75,15 +85,17 @@ class QuadratureConfig:
             raise ValueError(
                 f"strategy must be {REAL_AXIS!r} or {CONTOUR!r}, "
                 f"got {self.strategy!r}")
-        if self.working_precision_digits < 16:
-            raise ValueError("working_precision_digits must be >= 16, "
-                             f"got {self.working_precision_digits}")
-        if not self.abs_tol > 0 or not self.rel_tol > 0:
-            raise ValueError("tolerances must be positive, got "
+        if (not isinstance(self.working_precision_digits, int)
+                or self.working_precision_digits < 16):
+            raise ValueError("working_precision_digits must be an int >= 16, "
+                             f"got {self.working_precision_digits!r}")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite, got "
                              f"abs_tol={self.abs_tol}, rel_tol={self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1, "
-                             f"got {self.max_subdivisions}")
+        if (not isinstance(self.max_subdivisions, int)
+                or self.max_subdivisions < 1):
+            raise ValueError("max_subdivisions must be an int >= 1, "
+                             f"got {self.max_subdivisions!r}")
 
 
 _DEFAULT_CONFIG = QuadratureConfig()
@@ -142,32 +154,22 @@ def _real_axis_value(x: complex, y: complex, config: QuadratureConfig) -> comple
 
         width = min(mp.mpf("0.25"), mp.pi / (4 * (1 + abs(ym))))
         panels = max(1, int(mp.ceil(trunc / width)))
+        if panels > _MAX_PANELS:
+            raise ConvergenceError(
+                f"real-axis quadrature needs {panels} panels, more than "
+                f"{_MAX_PANELS}", estimate=complex(math.nan, math.nan),
+                achieved_error=math.inf)
 
         def integrand(t):
             return mp.exp(-t ** 4 - xm * t * t) * mp.cos(ym * t)
 
-        best = None
-        best_err = mp.inf
-        for _ in range(config.max_subdivisions):
-            if panels > _MAX_PANELS:
-                raise ConvergenceError(
-                    f"real-axis quadrature needs {panels} panels, more than "
-                    f"{_MAX_PANELS}", achieved_error=float(best_err),
-                    estimate=complex(math.nan, math.nan) if best is None
-                    else complex(best))
-            points = [trunc * k / panels for k in range(panels + 1)]
-            value, err = mp.quad(integrand, points, method="gauss-legendre",
-                                 error=True)
-            if err < best_err:
-                best, best_err = value, err
-            if best_err <= max(mp.mpf(config.abs_tol),
-                               mp.mpf(config.rel_tol) * abs(best)):
-                return complex(best)
-            panels *= 2
-        raise ConvergenceError(
-            f"real-axis quadrature stalled at error {float(best_err):.3e} "
-            f"after {config.max_subdivisions} refinements",
-            estimate=complex(best), achieved_error=float(best_err))
+        # Gauss-Legendre raises its degree on each panel until the panel
+        # converges at the working precision, so one pass already reaches
+        # the precision floor; more panels would only add rounding.
+        points = [trunc * k / panels for k in range(panels + 1)]
+        value, err = mp.quad(integrand, points, method="gauss-legendre",
+                             error=True)
+    return _accepted(REAL_AXIS, complex(value), float(err), config)
 
 
 def _line_profile(x: complex, y: complex, c: float):
@@ -253,16 +255,21 @@ def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
 
     try:
         scale = 0.5 * math.exp(peak)
-        result = total * scale
-        achieved = err * scale
     except OverflowError:
-        raise ConvergenceError(
-            "contour quadrature result exceeds double-precision range",
-            estimate=complex(math.inf, math.inf),
-            achieved_error=math.inf) from None
+        scale = math.inf  # refused below as out of double range
+    return _accepted(CONTOUR, total * scale, err * scale, config)
 
-    if achieved > max(config.abs_tol, config.rel_tol * abs(result)):
+
+def _accepted(strategy: str, value: complex, err: float,
+              config: QuadratureConfig) -> complex:
+    """Both oracles' rule: return a nonzero finite ``value`` within tolerance."""
+    if value == 0 or not cmath.isfinite(value):
+        side = "underflows" if value == 0 else "exceeds"
         raise ConvergenceError(
-            f"contour quadrature stalled at error {achieved:.3e}",
-            estimate=result, achieved_error=achieved)
-    return result
+            f"{strategy} quadrature result {side} double-precision range",
+            estimate=value, achieved_error=err)
+    if err > max(config.abs_tol, config.rel_tol * abs(value)):
+        raise ConvergenceError(
+            f"{strategy} quadrature stalled at error {err:.3e}",
+            estimate=value, achieved_error=err)
+    return value

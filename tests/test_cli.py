@@ -157,6 +157,13 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_quadrature_underflow_is_a_domain_failure(self, capsys):
+        code, out, err = run(capsys, "eval", "--x", "1", "--y", "1e4",
+                             "--method", "quadrature")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "double-precision" in err
+
     def test_order_above_cap_names_the_given_order(self, capsys):
         code, out, err = run(capsys, "eval", "--x", "1", "--y", "10",
                              "--order", "64")

@@ -46,6 +46,11 @@ class TestConfig:
         ({"abs_tol": 0.0}, "tolerances"),
         ({"rel_tol": -1e-9}, "tolerances"),
         ({"max_subdivisions": 0}, "max_subdivisions"),
+        ({"strategy": REAL_AXIS, "abs_tol": math.inf}, "tolerances"),
+        ({"rel_tol": math.inf}, "tolerances"),
+        ({"abs_tol": math.nan}, "tolerances"),
+        ({"max_subdivisions": 2.5}, "max_subdivisions"),
+        ({"working_precision_digits": 30.0}, "working_precision_digits"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
@@ -185,14 +190,48 @@ class TestRelativeError:
 class TestConvergenceFailure:
     def test_real_axis_reports_best_estimate(self):
         cfg = QuadratureConfig(strategy=REAL_AXIS, working_precision_digits=16,
-                               rel_tol=1e-40, abs_tol=1e-60,
-                               max_subdivisions=1)
+                               rel_tol=1e-40, abs_tol=1e-60)
         with pytest.raises(ConvergenceError) as info:
             pearcey_quadrature(1.0, 10.0, cfg)
         err = info.value
         assert err.achieved_error > 0
         reference = pearcey_quadrature(1.0, 10.0)
         assert relative_error(err.estimate, reference) <= 1e-9
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        calls = []
+        rule = mp.quad
+        monkeypatch.setattr(
+            mp, "quad", lambda *args, **kwargs: calls.append(args)
+            or rule(*args, **kwargs))
+        return calls
+
+    def test_real_axis_single_pass(self, monkeypatch):
+        calls = self._count_passes(monkeypatch)
+        pearcey_quadrature(1.0, 10.0, QuadratureConfig(strategy=REAL_AXIS))
+        assert len(calls) == 1
+
+    def test_real_axis_raises_after_one_pass(self, monkeypatch):
+        # 20 digits cannot reach this tolerance; more panels would not help
+        calls = self._count_passes(monkeypatch)
+        cfg = QuadratureConfig(strategy=REAL_AXIS, working_precision_digits=20,
+                               rel_tol=1e-17, abs_tol=1e-25)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            pearcey_quadrature(-2.0, 30.0, cfg)
+        assert len(calls) == 1
+
+    def test_real_axis_overflow_refused(self):
+        # P(-60, 0) ~ e^900 is beyond double range: no silent inf
+        cfg = QuadratureConfig(strategy=REAL_AXIS, working_precision_digits=16)
+        with pytest.raises(ConvergenceError, match="double-precision"):
+            pearcey_quadrature(-60.0, 0.0, cfg)
+
+    @pytest.mark.parametrize("y", [800.0, 1e4])
+    def test_contour_underflow_refused(self, y):
+        # |P(1, y)| falls below the smallest double: no silent zero
+        with pytest.raises(ConvergenceError, match="double-precision"):
+            pearcey_quadrature(1.0, y)
 
     def test_contour_exponent_beyond_double_range(self):
         # P(1e154, 1) ~ 9e-78, but the exponent's quartic spans more
