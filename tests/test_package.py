@@ -9,6 +9,9 @@ them should fail here, not only in the benchmark's own smoke run.
 import collections
 import importlib
 import pathlib
+import time
+
+import mpmath
 
 import pearcey
 import pearcey.asymptotics
@@ -40,6 +43,7 @@ def test_benchmark_hooks_install_and_restore(monkeypatch, capsys):
     hooked = [(pearcey.asymptotics, "build_table"),
               (pearcey.asymptotics, "prefactor"),
               (pearcey.quadrature, "quad"),
+              (mpmath, "quad"),
               (pearcey.cli, "table_rows")]
     for module in (pearcey.tables, pearcey.cli):
         hooked += [(module, "pearcey_asymptotic"), (module, "pearcey_quadrature")]
@@ -57,6 +61,17 @@ def test_benchmark_hooks_install_and_restore(monkeypatch, capsys):
         assert names["tables.table_rows"] == 1
         assert names["asymptotics.pearcey_asymptotic"] == 7
         assert names["quadrature.contour"] == 7
+        # every real-axis layer metric is a number: the layer reaches its
+        # backend through the hooked mpmath.quad, so none reads null
+        start = time.perf_counter_ns()
+        assert pearcey.cli.main(["eval", "--x", "1", "--y", "10",
+                                 "--method", "quadrature",
+                                 "--strategy", "real-axis"]) == 0
+        metrics = tracer.layer_metrics(time.perf_counter_ns() - start)
+        real_axis = {name: value for name, (value, _) in metrics.items()
+                     if name.startswith("quadrature.real_axis.")}
+        assert real_axis and all(isinstance(value, (int, float))
+                                 for value in real_axis.values()), real_axis
     finally:
         tracer.uninstall()
     for (module, attr), original in zip(hooked, originals):

@@ -1,8 +1,8 @@
 """Quadrature-oracle tests.
 
-The two strategies are independent implementations (mpmath panel sums on
-the real axis vs a numpy trapezoid rule on a horizontal line through a
-saddle of the exponent), so their agreement is the strongest internal
+The two strategies are independent implementations (an mpmath series over
+real-axis moment integrals vs a numpy trapezoid rule on a horizontal line
+through a saddle of the exponent), so their agreement is the strongest internal
 check; external anchors are the exact value at the origin, evenness in y,
 reality on the real axis, the leading magnitude law, and an mpmath
 evaluation of the rotated variant.
@@ -86,11 +86,25 @@ class TestStrategyAgreement:
          1.6120735280425345 - 1.1534113350145476j),
         (-6.899195060181565 + 3.5539594552838967j,
          -9.147912253704021 - 3.2558045070914052j),
+        # the real-axis seed integrals turn about 3000 radians
+        (300j, 2.0),
     ])
     def test_cross_check(self, x, y):
         contour = pearcey_quadrature(x, y)
         direct = pearcey_quadrature(x, y, FAST_REAL_AXIS)
         assert relative_error(contour, direct) <= 1e-9
+
+    @pytest.mark.parametrize("x,y,tol", [
+        # |P| below 1e-30, which was the real-axis rule's absolute floor
+        (1.0, 80.0, 1e-12),
+        (1.0, 100.0, 1e-12),
+        # P ~ 3.6e269, where the integrand cancels over 70 digits
+        (-50.0, 30.0, 1e-9),
+    ])
+    def test_relative_accuracy_at_extremes(self, x, y, tol):
+        contour = pearcey_quadrature(x, y)
+        direct = pearcey_quadrature(x, y, QuadratureConfig(strategy=REAL_AXIS))
+        assert relative_error(direct, contour) <= tol
 
 
 class TestSymmetries:
@@ -188,16 +202,6 @@ class TestRelativeError:
 
 
 class TestConvergenceFailure:
-    def test_real_axis_reports_best_estimate(self):
-        cfg = QuadratureConfig(strategy=REAL_AXIS, working_precision_digits=16,
-                               rel_tol=1e-40, abs_tol=1e-60)
-        with pytest.raises(ConvergenceError) as info:
-            pearcey_quadrature(1.0, 10.0, cfg)
-        err = info.value
-        assert err.achieved_error > 0
-        reference = pearcey_quadrature(1.0, 10.0)
-        assert relative_error(err.estimate, reference) <= 1e-9
-
     @staticmethod
     def _count_passes(monkeypatch):
         calls = []
@@ -207,25 +211,40 @@ class TestConvergenceFailure:
             or rule(*args, **kwargs))
         return calls
 
+    def test_real_axis_reports_best_estimate(self, monkeypatch):
+        # no precision the levels reach meets this tolerance: the refusal
+        # comes after the last level and carries its estimate
+        calls = self._count_passes(monkeypatch)
+        cfg = QuadratureConfig(strategy=REAL_AXIS, working_precision_digits=16,
+                               rel_tol=1e-300, abs_tol=1e-300)
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            pearcey_quadrature(1.0, 10.0, cfg)
+        assert len(calls) == 2 * quadrature._MAX_LEVELS
+        err = info.value
+        assert err.achieved_error > 0
+        reference = pearcey_quadrature(1.0, 10.0)
+        assert relative_error(err.estimate, reference) <= 1e-9
+
     def test_real_axis_single_pass(self, monkeypatch):
+        # one precision level, two seed integrals, whatever |y|: the
+        # series takes the oscillation out of the integrals
         calls = self._count_passes(monkeypatch)
-        pearcey_quadrature(1.0, 10.0, QuadratureConfig(strategy=REAL_AXIS))
-        assert len(calls) == 1
+        cfg = QuadratureConfig(strategy=REAL_AXIS)
+        pearcey_quadrature(1.0, 10.0, cfg)
+        at_10 = len(calls)
+        pearcey_quadrature(1.0, 25.0, cfg)
+        assert len(calls) - at_10 == at_10 == 2
 
-    def test_real_axis_raises_after_one_pass(self, monkeypatch):
-        # 20 digits cannot reach this tolerance; more panels would not help
-        calls = self._count_passes(monkeypatch)
-        cfg = QuadratureConfig(strategy=REAL_AXIS, working_precision_digits=20,
-                               rel_tol=1e-17, abs_tol=1e-25)
-        with pytest.raises(ConvergenceError, match="stalled"):
-            pearcey_quadrature(-2.0, 30.0, cfg)
-        assert len(calls) == 1
-
-    def test_real_axis_overflow_refused(self):
-        # P(-60, 0) ~ e^900 is beyond double range: no silent inf
-        cfg = QuadratureConfig(strategy=REAL_AXIS, working_precision_digits=16)
+    @pytest.mark.parametrize("x,y,digits", [
+        (-60.0, 0.0, 16),  # P ~ e^900
+        (-60.0, 60j, 50),  # P ~ e^1233
+    ])
+    def test_real_axis_overflow_refused(self, x, y, digits):
+        # beyond double range: no silent inf
+        cfg = QuadratureConfig(strategy=REAL_AXIS,
+                               working_precision_digits=digits)
         with pytest.raises(ConvergenceError, match="double-precision"):
-            pearcey_quadrature(-60.0, 0.0, cfg)
+            pearcey_quadrature(x, y, cfg)
 
     @pytest.mark.parametrize("y", [800.0, 1e4])
     def test_contour_underflow_refused(self, y):
@@ -248,11 +267,26 @@ class TestConvergenceFailure:
             with pytest.raises(ConvergenceError, match="double-precision"):
                 pearcey_quadrature(x, y)
 
-    def test_real_axis_panel_count_capped(self):
-        # the cut-off near 1e10 needs 4e10 panels; refuse before building them
-        with pytest.raises(ConvergenceError, match="panels") as info:
-            pearcey_quadrature(1e20, 1.0, FAST_REAL_AXIS)
+    def test_real_axis_oscillation_capped(self, monkeypatch):
+        # exp(-i Im(x) t^2) turns about 1e5 radians on the cut-off axis:
+        # refuse before integrating rather than return unresolved seeds
+        calls = self._count_passes(monkeypatch)
+        with pytest.raises(ConvergenceError, match="degree") as info:
+            pearcey_quadrature(1e4j, 1.0, FAST_REAL_AXIS)
         assert cmath.isnan(info.value.estimate)
+        assert not calls
+
+    def test_real_axis_term_count_capped(self, monkeypatch):
+        # the forward moment recurrence is unstable at large positive x:
+        # its rounding noise would need about 1e10 terms to die out
+        calls = self._count_passes(monkeypatch)
+        try:
+            value = pearcey_quadrature(1e20, 1.0, FAST_REAL_AXIS)
+        except ConvergenceError:
+            assert len(calls) <= 2 * quadrature._MAX_LEVELS
+        else:
+            assert value == pytest.approx(pearcey_quadrature(1e20, 1.0),
+                                          rel=1e-12)
 
     def test_contour_reports_best_estimate(self):
         cfg = QuadratureConfig(rel_tol=1e-40, abs_tol=1e-60,
