@@ -15,18 +15,22 @@ exactly (up to quadrature error), with no asymptotic content:
   leaves the integrals: M_0 and M_1 are two smooth real-axis integrals
   (tanh-sinh, on the axis cut off where the envelope has fallen below
   the working precision), and 4 M_{k+2} = (2k+1) M_k - 2x M_{k+1} gives
-  the rest.  The terms can exceed |P| by many digits, so the series is
-  summed twice from the same seeds, at the working precision and a guard
-  of digits above it; the difference of the two sums, plus the seeds'
-  own error, is the error.  While it misses ``rel_tol`` the precision
-  rises by the digits the sum lost to cancellation, and at least
-  doubles, starting from ``working_precision_digits``.  Capped
-  precision levels, terms and quadrature degree turn an input the
-  series cannot reach (large positive Re x, where the recurrence
-  amplifies rounding, or very large |Im x|) into ``ConvergenceError``.
-  2300 to 7600 integrand evaluations (one to three levels) and 0.03 to
-  0.3 s per paper-table point at 50 digits; the ground truth of last
-  resort.
+  the rest.  The seeds run at the working precision plus the digits
+  they cancel below the envelope's peak: min(Re(x)^2, Im(x)^2) /
+  (4 ln 10) at Re x < 0, none otherwise.  The terms can exceed |P| by
+  many digits, so the series is summed twice from the same seeds, at
+  the working precision and a guard of digits above it, and once more
+  at the guard from seeds moved apart by their own error; the
+  difference of the first two sums plus the shift of the third is the
+  error.  While it misses ``rel_tol`` the precision rises by the digits
+  the sum lost to cancellation, and at least doubles, starting from
+  ``working_precision_digits``.  Capped precision levels, terms,
+  quadrature degree and seed cancellation turn an input the series
+  cannot reach (large positive Re x, where the recurrence amplifies
+  rounding, very large |Im x|, or Re x < -48 with |Im x| > 48) into
+  ``ConvergenceError``.  1100 to 6300 integrand evaluations (one or two
+  levels) and 0.02 to 0.3 s per paper-table point at 50 digits; the
+  ground truth of last resort.
 
 * ``CONTOUR`` writes P as half the integral of exp(-t^4 - x t^2 + i y t)
   over the whole real line and moves that line up or down to Im t = c.
@@ -68,6 +72,7 @@ _GUARD = 10  # digits between the two sums of a real-axis precision level
 _MAX_LEVELS = 5  # real-axis precision levels per call
 _MAX_TERMS = 10_000  # terms per real-axis sum
 _MAX_DEGREE = 15  # tanh-sinh degree of the seed integrals (about 40,000 nodes)
+_MAX_CANCEL = 250  # digits the real-axis seed integrals may cancel
 
 
 class ConvergenceError(RuntimeError):
@@ -161,7 +166,7 @@ def _real_axis_value(x: complex, y: complex, config: QuadratureConfig) -> comple
             xm = mp.mpc(x) if x.imag else mp.mpf(x.real)
             y2 = mp.mpc(y) ** 2
             y2 = y2 if y2.imag else y2.real
-            m0, m1, seed_err, log_peak = _seed_moments(mp, xm, digits + _GUARD)
+            m0, m1, seed_err, log_peak = _seed_moments(mp, xm, digits)
             # about |y|^(4/3) + digits terms reach the precision (at most
             # 1.5 times that out to x = -52 and |y| = 100); the rest of the
             # allowance lets the recurrence's rounding noise at large
@@ -171,9 +176,14 @@ def _real_axis_value(x: complex, y: complex, config: QuadratureConfig) -> comple
             fine, largest = _y_series(mp, xm, y2, m0, m1, terms)
             with mp.workdps(digits):
                 coarse, _ = _y_series(mp, xm, y2, m0, m1, terms)
-            # a seed that mpmath could not resolve (fast oscillation at
-            # large |Im x|) is off in every term alike
-            gap = abs(fine - coarse) + seed_err * largest
+            # The seeds hold about `digits` digits, and the recurrence can
+            # amplify their error far beyond the largest term: seeds moved
+            # apart by that error excite its growing solution, and the
+            # sum's shift is the seeds' share of the error.
+            eps = max(seed_err, mp.mpf(10) ** -digits)
+            moved, _ = _y_series(mp, xm, y2, m0 * (1 + eps), m1 * (1 - eps),
+                                 terms)
+            gap = abs(fine - coarse) + abs(moved - fine)
             scale = mp.exp(log_peak)
             value, err = complex(fine * scale), float(gap * scale)
             if gap <= config.rel_tol * abs(fine):
@@ -189,50 +199,64 @@ def _real_axis_value(x: complex, y: complex, config: QuadratureConfig) -> comple
 
 
 def _seed_moments(mp, x, digits: int):
-    """M_0 and M_1 of exp(-t^4 - x t^2) over t >= 0, both divided by the
-    envelope's peak exp(log_peak); the larger of their relative error
-    estimates; and log_peak.
+    """M_0 and M_1 of exp(-t^4 - x t^2) over t >= 0 to about ``digits``
+    digits, both divided by the envelope's peak exp(log_peak); the larger
+    of their relative error estimates; and log_peak.
 
-    The axis is cut off at t = c, where the envelope exp(-t^4 - Re(x) t^2)
-    has fallen 10^-(digits + 5) below its peak, and integrated over u in
-    [0, 1] with t = c u: mpmath keeps nodes for every interval it sees
-    twice, so an x-dependent interval would grow its cache on every call.
-    Both integrals share the exponential at each node.
+    At Re x < 0 the integrals cancel below that peak, exp(Re(x)^2 / 4):
+    the saddle t^2 = -x/2 lies Im(x)^2 / 4 e-folds under it and the end
+    t = 0 Re(x)^2 / 4 (DLMF 36.8).  The smaller of the two is lost, so the
+    integrals run at that many digits more, and are refused before
+    integrating beyond ``_MAX_CANCEL`` of them.  The axis is cut off at
+    t = c, where the envelope exp(-t^4 - Re(x) t^2) has fallen
+    10^-(dps + 5) below its peak, and integrated over u in [0, 1] with
+    t = c u: mpmath keeps nodes for every interval it sees twice, so an
+    x-dependent interval would grow its cache on every call.  Both
+    integrals share the exponential at each node.
     """
     a = float(x.real)
-    drop = (digits + 5) * math.log(10)
-    if a < 0:
-        log_peak = mp.mpf(a) ** 2 / 4  # at t^2 = -a/2
-        s = mp.mpf(-a / 2 + math.sqrt(drop))
-    else:
-        log_peak = mp.mpf(0)
-        # the positive root of s^2 + a s = drop, stable at large a
-        s = mp.mpf(2 * drop / (a + math.hypot(a, 2 * math.sqrt(drop))))
-    # mpmath's default top degree, 6 + log2(bits / 30), suits a smooth
-    # integrand; the phase Im(x) s u^2 turns Im(x) s radians over [0, 1],
-    # and the rule needs a degree of about log2 of that to resolve it
-    turns = abs(float(x.imag)) * float(s)
-    if 1 + turns > 2 ** (_MAX_DEGREE - 1):
+    cancel = (math.ceil(min(a * a, float(x.imag) ** 2) / (4 * math.log(10)))
+              if a < 0 else 0)
+    if cancel > _MAX_CANCEL:
         raise ConvergenceError(
-            f"{REAL_AXIS} seed integrals turn {turns:.3g} radians, more than "
-            f"tanh-sinh degree {_MAX_DEGREE} resolves",
-            estimate=complex(math.nan, math.nan), achieved_error=math.inf)
-    degree = max(math.ceil(math.log2(1 + turns)) + 1,
-                 6 + int(math.log2(max(1, mp.mp.prec / 30))))
-    exps = {}
+            f"{REAL_AXIS} seed integrals cancel {cancel} digits, more than "
+            f"{_MAX_CANCEL}", estimate=complex(math.nan, math.nan),
+            achieved_error=math.inf)
+    digits += cancel
+    drop = (digits + 5) * math.log(10)
+    with mp.workdps(digits):
+        if a < 0:
+            log_peak = mp.mpf(a) ** 2 / 4  # at t^2 = -a/2
+            s = mp.mpf(-a / 2 + math.sqrt(drop))
+        else:
+            log_peak = mp.mpf(0)
+            # the positive root of s^2 + a s = drop, stable at large a
+            s = mp.mpf(2 * drop / (a + math.hypot(a, 2 * math.sqrt(drop))))
+        # mpmath's default top degree, 6 + log2(bits / 30), suits a smooth
+        # integrand; the phase Im(x) s u^2 turns Im(x) s radians over
+        # [0, 1], and the rule needs a degree of about log2 of that
+        turns = abs(float(x.imag)) * float(s)
+        if 1 + turns > 2 ** (_MAX_DEGREE - 1):
+            raise ConvergenceError(
+                f"{REAL_AXIS} seed integrals turn {turns:.3g} radians, more "
+                f"than tanh-sinh degree {_MAX_DEGREE} resolves",
+                estimate=complex(math.nan, math.nan), achieved_error=math.inf)
+        degree = max(math.ceil(math.log2(1 + turns)) + 1,
+                     6 + int(math.log2(max(1, mp.mp.prec / 30))))
+        exps = {}
 
-    def envelope(u):
-        e = exps.get(u)
-        if e is None:
-            t2 = s * u * u
-            e = exps[u] = mp.exp(-t2 * t2 - x * t2 - log_peak)
-        return e
+        def envelope(u):
+            e = exps.get(u)
+            if e is None:
+                t2 = s * u * u
+                e = exps[u] = mp.exp(-t2 * t2 - x * t2 - log_peak)
+            return e
 
-    i0, e0 = mp.quad(envelope, [0, 1], error=True, maxdegree=degree)
-    i1, e1 = mp.quad(lambda u: u * u * envelope(u), [0, 1], error=True,
-                     maxdegree=degree)
-    c = mp.sqrt(s)
-    return c * i0, c * s * i1, max(e0 / abs(i0), e1 / abs(i1)), log_peak
+        i0, e0 = mp.quad(envelope, [0, 1], error=True, maxdegree=degree)
+        i1, e1 = mp.quad(lambda u: u * u * envelope(u), [0, 1], error=True,
+                         maxdegree=degree)
+        c = mp.sqrt(s)
+        return c * i0, c * s * i1, max(e0 / abs(i0), e1 / abs(i1)), log_peak
 
 
 def _y_series(mp, x, y2, m0, m1, terms: int):
@@ -346,7 +370,11 @@ def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
         scale = 0.5 * math.exp(peak)
     except OverflowError:
         scale = math.inf  # refused below as out of double range
-    return _accepted(CONTOUR, total * scale, err * scale, config)
+    # part by part: a complex product would turn a zero part times inf
+    # into NaN
+    value = complex(total.real * scale if total.real else 0.0,
+                    total.imag * scale if total.imag else 0.0)
+    return _accepted(CONTOUR, value, err * scale, config)
 
 
 def _accepted(strategy: str, value: complex, err: float,

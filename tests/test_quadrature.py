@@ -4,8 +4,9 @@ The two strategies are independent implementations (an mpmath series over
 real-axis moment integrals vs a numpy trapezoid rule on a horizontal line
 through a saddle of the exponent), so their agreement is the strongest internal
 check; external anchors are the exact value at the origin, evenness in y,
-reality on the real axis, the leading magnitude law, and an mpmath
-evaluation of the rotated variant.
+reality on the real axis, the leading magnitude law, the moments in closed
+form (Hermite functions, no quadrature), and an mpmath evaluation of the
+rotated variant.
 """
 
 import cmath
@@ -14,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 
 import mpmath as mp
@@ -32,6 +34,31 @@ FAST_REAL_AXIS = QuadratureConfig(strategy=REAL_AXIS,
 
 def polar(mod, arg):
     return mod * cmath.exp(1j * arg)
+
+
+def hermite_moments(x):
+    """M_0 and M_1 of exp(-t^4 - x t^2) over t >= 0 in closed form,
+    Gamma(k + 1/2) H_{-k-1/2}(x/2) / 2, at the working precision."""
+    x = mp.mpmathify(x)
+    return [mp.gamma(k + 0.5) * mp.hermite(-k - 0.5, x / 2) / 2
+            for k in (0, 1)]
+
+
+def series_reference(x, y):
+    """P(x, y) from the closed-form moments and the y-series of DLMF 36.8
+    at 200 digits: no quadrature at all."""
+    with mp.workdps(200):
+        m0, m1 = hermite_moments(x)
+        x, y2 = mp.mpmathify(x), mp.mpmathify(y) ** 2
+        total = largest = mp.mpf(0)
+        coef, k = mp.mpf(1), 0
+        while k < 3 or abs(coef * m0) > mp.mpf(10) ** -200 * largest:
+            total += coef * m0
+            largest = max(largest, abs(coef * m0))
+            m0, m1 = m1, ((2 * k + 1) * m0 - 2 * x * m1) / 4
+            coef *= -y2 / ((2 * k + 1) * (2 * k + 2))
+            k += 1
+        return complex(total)
 
 
 class TestConfig:
@@ -105,6 +132,52 @@ class TestStrategyAgreement:
         contour = pearcey_quadrature(x, y)
         direct = pearcey_quadrature(x, y, QuadratureConfig(strategy=REAL_AXIS))
         assert relative_error(direct, contour) <= tol
+
+
+class TestSeedPrecision:
+    @pytest.mark.parametrize("x", [-2.15 + 0.06j, 3 + 0.1j, -50.0, 30 + 2j,
+                                   -20 + 50j])
+    def test_seed_moments_against_closed_form(self, x):
+        # at -20 + 50i the integrals cancel 44 digits below the envelope's
+        # peak, and come out to the digits asked for all the same
+        digits = 16
+        with mp.workdps(digits):
+            xm = mp.mpc(x) if isinstance(x, complex) else mp.mpf(x)
+            m0, m1, seed_err, log_peak = quadrature._seed_moments(mp, xm,
+                                                                  digits)
+        with mp.workdps(40):
+            scale = mp.exp(log_peak)
+            for seed, exact in zip((m0, m1), hermite_moments(x)):
+                assert (abs(seed * scale - exact) / abs(exact)
+                        <= max(seed_err, mp.mpf(10) ** -digits))
+
+    @pytest.mark.parametrize("x,y", [
+        (20.0, 20.0), (8.0, 30.0), (15.0, 15.0), (1.0, 30.0),
+        (5 + 2j, 15 - 3j),
+    ])
+    def test_low_precision_agrees(self, x, y):
+        # the series amplifies the seeds' error here: an error term that
+        # missed it returned (20, 20) 7e10 off at 16 digits
+        default = pearcey_quadrature(x, y,
+                                     QuadratureConfig(strategy=REAL_AXIS))
+        for digits in (16, 24):
+            cfg = QuadratureConfig(strategy=REAL_AXIS,
+                                   working_precision_digits=digits)
+            assert relative_error(pearcey_quadrature(x, y, cfg),
+                                  default) <= 1e-12
+
+    @pytest.mark.parametrize("x,y,digits", [
+        # at Re x < 0 and large |Im x| the seeds cancel 44 to 98 digits,
+        # and a fixed guard returned these 2.7e26, 1.6e4 and 2.3e97 off
+        (-25 + 30j, 5.0, 30),
+        (-20 + 50j, 5.0, 30),
+        (-30 + 60j, 0.0, 50),
+    ])
+    def test_cancelling_seeds_against_closed_form(self, x, y, digits):
+        cfg = QuadratureConfig(strategy=REAL_AXIS,
+                               working_precision_digits=digits)
+        assert relative_error(pearcey_quadrature(x, y, cfg),
+                              series_reference(x, y)) <= 1e-12
 
 
 class TestSymmetries:
@@ -245,6 +318,27 @@ class TestConvergenceFailure:
                                working_precision_digits=digits)
         with pytest.raises(ConvergenceError, match="double-precision"):
             pearcey_quadrature(x, y, cfg)
+
+    @pytest.mark.parametrize("strategy", [CONTOUR, REAL_AXIS])
+    def test_overflow_estimate_has_no_nan(self, strategy):
+        # P(-60, 0) ~ e^900 is real: a zero imaginary part times an
+        # infinite scale must stay zero
+        with pytest.raises(ConvergenceError, match="double-precision") as info:
+            pearcey_quadrature(-60.0, 0.0, QuadratureConfig(strategy=strategy))
+        assert info.value.estimate == complex(math.inf, 0.0)
+
+    @pytest.mark.parametrize("x", [-60 + 60j, -100 + 100j])
+    def test_real_axis_cancellation_capped(self, monkeypatch, x):
+        # the seed integrals would cancel 391 and 1086 digits (P(-60+60i, 0)
+        # = -0.0809-0.1571i): refuse at once rather than integrate for
+        # minutes
+        calls = self._count_passes(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="cancel") as info:
+            pearcey_quadrature(x, 0.0, QuadratureConfig(strategy=REAL_AXIS))
+        assert time.perf_counter() - start < 1.0
+        assert cmath.isnan(info.value.estimate)
+        assert not calls
 
     @pytest.mark.parametrize("y", [800.0, 1e4])
     def test_contour_underflow_refused(self, y):
