@@ -13,7 +13,7 @@ exactly (up to quadrature error), with no asymptotic content:
 
   in mpmath arbitrary-precision arithmetic.  The oscillating cos(y t)
   leaves the integrals: M_0 and M_1 are two smooth real-axis integrals
-  (tanh-sinh, on the axis cut off where the envelope has fallen below
+  (trapezoid, on the axis cut off where the envelope has fallen below
   the working precision), and 4 M_{k+2} = (2k+1) M_k - 2x M_{k+1} gives
   the rest.  The seeds run at the working precision plus the digits
   they cancel below the envelope's peak: min(Re(x)^2, Im(x)^2) /
@@ -28,8 +28,8 @@ exactly (up to quadrature error), with no asymptotic content:
   quadrature degree and seed cancellation turn an input the series
   cannot reach (large positive Re x, where the recurrence amplifies
   rounding, very large |Im x|, or Re x < -48 with |Im x| > 48) into
-  ``ConvergenceError``.  1100 to 6300 integrand evaluations (one or two
-  levels) and 0.02 to 0.3 s per paper-table point at 50 digits; the
+  ``ConvergenceError``.  130 to 772 integrand evaluations (one or two
+  levels) and 0.007 to 0.06 s per paper-table point at 50 digits; the
   ground truth of last resort.
 
 * ``CONTOUR`` writes P as half the integral of exp(-t^4 - x t^2 + i y t)
@@ -60,6 +60,7 @@ on its first call and REAL_AXIS imports mpmath on its first call, so
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,7 +72,7 @@ _TAIL_DROP = 48.0  # e-folds below the line's peak at which it is cut off
 _GUARD = 10  # digits between the two sums of a real-axis precision level
 _MAX_LEVELS = 5  # real-axis precision levels per call
 _MAX_TERMS = 10_000  # terms per real-axis sum
-_MAX_DEGREE = 15  # tanh-sinh degree of the seed integrals (about 40,000 nodes)
+_MAX_DEGREE = 15  # trapezoid degree of the seed integrals (131,073 nodes)
 _MAX_CANCEL = 250  # digits the real-axis seed integrals may cancel
 
 
@@ -210,8 +211,9 @@ def _seed_moments(mp, x, digits: int):
     integrating beyond ``_MAX_CANCEL`` of them.  The axis is cut off at
     t = c, where the envelope exp(-t^4 - Re(x) t^2) has fallen
     10^-(dps + 5) below its peak, and integrated over u in [0, 1] with
-    t = c u: mpmath keeps nodes for every interval it sees twice, so an
-    x-dependent interval would grow its cache on every call.  Both
+    t = c u by the trapezoid rule: the integrand is even about u = 0 and
+    negligible at u = 1, where the rule converges geometrically, and one
+    fixed interval lets every call share the rule's nodes.  Both
     integrals share the exponential at each node.
     """
     a = float(x.real)
@@ -234,12 +236,13 @@ def _seed_moments(mp, x, digits: int):
             s = mp.mpf(2 * drop / (a + math.hypot(a, 2 * math.sqrt(drop))))
         # mpmath's default top degree, 6 + log2(bits / 30), suits a smooth
         # integrand; the phase Im(x) s u^2 turns Im(x) s radians over
-        # [0, 1], and the rule needs a degree of about log2 of that
+        # [0, 1], and degree log2(1 + turns) + 1 puts at least four nodes
+        # on each radian where it turns fastest, at u = 1
         turns = abs(float(x.imag)) * float(s)
         if 1 + turns > 2 ** (_MAX_DEGREE - 1):
             raise ConvergenceError(
                 f"{REAL_AXIS} seed integrals turn {turns:.3g} radians, more "
-                f"than tanh-sinh degree {_MAX_DEGREE} resolves",
+                f"than trapezoid degree {_MAX_DEGREE} resolves",
                 estimate=complex(math.nan, math.nan), achieved_error=math.inf)
         degree = max(math.ceil(math.log2(1 + turns)) + 1,
                      6 + int(math.log2(max(1, mp.mp.prec / 30))))
@@ -252,11 +255,48 @@ def _seed_moments(mp, x, digits: int):
                 e = exps[u] = mp.exp(-t2 * t2 - x * t2 - log_peak)
             return e
 
-        i0, e0 = mp.quad(envelope, [0, 1], error=True, maxdegree=degree)
-        i1, e1 = mp.quad(lambda u: u * u * envelope(u), [0, 1], error=True,
+        rule = _trapezoid_rule()
+        i0, e0 = mp.quad(envelope, [0, 1], method=rule, error=True,
                          maxdegree=degree)
+        i1, e1 = mp.quad(lambda u: u * u * envelope(u), [0, 1], method=rule,
+                         error=True, maxdegree=degree)
         c = mp.sqrt(s)
         return c * i0, c * s * i1, max(e0 / abs(i0), e1 / abs(i1)), log_peak
+
+
+@functools.cache
+def _trapezoid_rule():
+    """The trapezoid rule on [0, 1] as an ``mpmath.quad`` method.
+
+    Degree d has 2^(d + 2) intervals: each degree halves the step, adds
+    only the new midpoints and reuses the previous sum.  The nodes are
+    dyadic fractions, exact at every precision, so ``nodes`` keeps them
+    per degree for all calls, at most 2^(_MAX_DEGREE + 2) + 1 in all.
+    mpmath's error estimate assumes each degree doubles the digits, as
+    the rule does on an integrand even about u = 0 and negligible at
+    u = 1 (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    """
+    from mpmath.calculus.quadrature import QuadratureRule
+
+    class Trapezoid(QuadratureRule):
+        nodes = {}  # degree -> [(u, weight)]
+
+        def get_nodes(self, a, b, degree, prec, verbose=False):
+            nodes = self.nodes.get(degree)
+            if nodes is None:
+                ldexp, n = self.ctx.ldexp, 2 ** (degree + 2)
+                h = ldexp(1, -degree - 2)
+                new = range(n + 1) if degree == 1 else range(1, n, 2)
+                nodes = self.nodes[degree] = [
+                    (ldexp(j, -degree - 2), h / 2 if j in (0, n) else h)
+                    for j in new]
+            return nodes
+
+        def sum_next(self, f, nodes, degree, prec, previous, verbose=False):
+            total = self.ctx.fdot((w, f(u)) for u, w in nodes)
+            return total + previous[-1] / 2 if previous else total
+
+    return Trapezoid
 
 
 def _y_series(mp, x, y2, m0, m1, terms: int):

@@ -136,10 +136,12 @@ class TestStrategyAgreement:
 
 class TestSeedPrecision:
     @pytest.mark.parametrize("x", [-2.15 + 0.06j, 3 + 0.1j, -50.0, 30 + 2j,
-                                   -20 + 50j])
+                                   -20 + 50j, 300j, 1e4, -45 + 45j])
     def test_seed_moments_against_closed_form(self, x):
-        # at -20 + 50i the integrals cancel 44 digits below the envelope's
-        # peak, and come out to the digits asked for all the same
+        # at -20 + 50i and -45 + 45i the integrals cancel 44 and 88 digits
+        # below the envelope's peak, at 300i their phase turns about 3000
+        # radians, and at 1e4 the envelope is a narrow Gaussian at u = 0:
+        # each comes out to the digits asked for all the same
         digits = 16
         with mp.workdps(digits):
             xm = mp.mpc(x) if isinstance(x, complex) else mp.mpf(x)
@@ -168,10 +170,12 @@ class TestSeedPrecision:
 
     @pytest.mark.parametrize("x,y,digits", [
         # at Re x < 0 and large |Im x| the seeds cancel 44 to 98 digits,
-        # and a fixed guard returned these 2.7e26, 1.6e4 and 2.3e97 off
+        # and a fixed guard returned these 2.7e26, 1.6e4 and 2.3e97 off,
+        # and P(-45+45i, 5) = 3456.08+1355.27i as -1.2e158
         (-25 + 30j, 5.0, 30),
         (-20 + 50j, 5.0, 30),
         (-30 + 60j, 0.0, 50),
+        (-45 + 45j, 5.0, 50),
     ])
     def test_cancelling_seeds_against_closed_form(self, x, y, digits):
         cfg = QuadratureConfig(strategy=REAL_AXIS,
@@ -277,11 +281,19 @@ class TestRelativeError:
 class TestConvergenceFailure:
     @staticmethod
     def _count_passes(monkeypatch):
+        # one entry per mp.quad call: its number of integrand evaluations
         calls = []
         rule = mp.quad
-        monkeypatch.setattr(
-            mp, "quad", lambda *args, **kwargs: calls.append(args)
-            or rule(*args, **kwargs))
+
+        def counted(f, *args, **kwargs):
+            calls.append(0)
+
+            def g(u):
+                calls[-1] += 1
+                return f(u)
+            return rule(g, *args, **kwargs)
+
+        monkeypatch.setattr(mp, "quad", counted)
         return calls
 
     def test_real_axis_reports_best_estimate(self, monkeypatch):
@@ -307,6 +319,22 @@ class TestConvergenceFailure:
         at_10 = len(calls)
         pearcey_quadrature(1.0, 25.0, cfg)
         assert len(calls) - at_10 == at_10 == 2
+
+    @pytest.mark.parametrize("x", [1.0, -2.15 + 0.06j])
+    def test_real_axis_seed_evaluations(self, monkeypatch, x):
+        # the trapezoid rule needs at most 257 nodes per seed integral at
+        # the benchmark's x (tanh-sinh took 561 and 1,125), and its nodes
+        # are kept per degree, not per precision or per call
+        evals = self._count_passes(monkeypatch)
+        cfg = QuadratureConfig(strategy=REAL_AXIS)
+        pearcey_quadrature(x, 10.0, cfg)
+        assert len(evals) == 2 and max(evals) <= 257
+        nodes = quadrature._trapezoid_rule().nodes
+        cached = sum(map(len, nodes.values()))
+        for _ in range(3):
+            pearcey_quadrature(x, 10.0, cfg)
+        assert sum(map(len, nodes.values())) == cached
+        assert cached == 2 ** (max(nodes) + 2) + 1
 
     @pytest.mark.parametrize("x,y,digits", [
         (-60.0, 0.0, 16),  # P ~ e^900
