@@ -73,8 +73,9 @@ def phase_taylor(t: complex, theta: float, saddle: int) -> complex:
     """Exact degree-4 Taylor form of f about saddle 1 or 2.
 
     The expansion terminates at degree 4, so this equals ``phase(t, theta)``
-    identically; it exists to expose the quadratic/cubic/quartic split the
-    contour construction relies on.
+    identically; it exposes the quadratic/cubic/quartic split about each
+    saddle that the saddle point analysis rests on, for the acceptance gate
+    to check against ``phase``.
     """
     if saddle == 1:
         d = t - _T1

@@ -69,6 +69,7 @@ CONTOUR = "contour"
 
 _PI = math.pi
 _TAIL_DROP = 48.0  # e-folds below the line's peak at which it is cut off
+_HALVINGS = 10  # contour trapezoid halvings from 16 intervals (16,385 nodes)
 _GUARD = 10  # digits between the two sums of a real-axis precision level
 _MAX_LEVELS = 5  # real-axis precision levels per call
 _MAX_TERMS = 10_000  # terms per real-axis sum
@@ -90,16 +91,13 @@ class ConvergenceError(RuntimeError):
 class QuadratureConfig:
     """Oracle settings.  ``working_precision_digits`` is REAL_AXIS's
     starting precision, which it raises until its error is within
-    rel_tol * |P|; ``abs_tol`` sets no cut-off there.  ``max_subdivisions``
-    is read by the contour only.  Both strategies accept a result when its
-    error is at most max(abs_tol, rel_tol * |P|).
+    rel_tol * |P|.  Both strategies accept a result only when its error is
+    at most rel_tol * |P|, however small |P| is.
     """
 
     strategy: str = CONTOUR
     working_precision_digits: int = 50
-    abs_tol: float = 1e-30
     rel_tol: float = 1e-12
-    max_subdivisions: int = 6
 
     def __post_init__(self):
         if self.strategy not in (REAL_AXIS, CONTOUR):
@@ -110,13 +108,9 @@ class QuadratureConfig:
                 or self.working_precision_digits < 16):
             raise ValueError("working_precision_digits must be an int >= 16, "
                              f"got {self.working_precision_digits!r}")
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+        if not 0 < self.rel_tol < math.inf:
             raise ValueError("tolerances must be positive and finite, got "
-                             f"abs_tol={self.abs_tol}, rel_tol={self.rel_tol}")
-        if (not isinstance(self.max_subdivisions, int)
-                or self.max_subdivisions < 1):
-            raise ValueError("max_subdivisions must be an int >= 1, "
-                             f"got {self.max_subdivisions!r}")
+                             f"rel_tol={self.rel_tol}")
 
 
 _DEFAULT_CONFIG = QuadratureConfig()
@@ -234,18 +228,15 @@ def _seed_moments(mp, x, digits: int):
             log_peak = mp.mpf(0)
             # the positive root of s^2 + a s = drop, stable at large a
             s = mp.mpf(2 * drop / (a + math.hypot(a, 2 * math.sqrt(drop))))
-        # mpmath's default top degree, 6 + log2(bits / 30), suits a smooth
-        # integrand; the phase Im(x) s u^2 turns Im(x) s radians over
-        # [0, 1], and degree log2(1 + turns) + 1 puts at least four nodes
-        # on each radian where it turns fastest, at u = 1
+        # the phase Im(x) s u^2 turns Im(x) s radians over [0, 1]: refuse
+        # unless the top degree puts at least four nodes on each radian
+        # where it turns fastest, at u = 1
         turns = abs(float(x.imag)) * float(s)
         if 1 + turns > 2 ** (_MAX_DEGREE - 1):
             raise ConvergenceError(
                 f"{REAL_AXIS} seed integrals turn {turns:.3g} radians, more "
                 f"than trapezoid degree {_MAX_DEGREE} resolves",
                 estimate=complex(math.nan, math.nan), achieved_error=math.inf)
-        degree = max(math.ceil(math.log2(1 + turns)) + 1,
-                     6 + int(math.log2(max(1, mp.mp.prec / 30))))
         exps = {}
 
         def envelope(u):
@@ -257,9 +248,9 @@ def _seed_moments(mp, x, digits: int):
 
         rule = _trapezoid_rule()
         i0, e0 = mp.quad(envelope, [0, 1], method=rule, error=True,
-                         maxdegree=degree)
+                         maxdegree=_MAX_DEGREE)
         i1, e1 = mp.quad(lambda u: u * u * envelope(u), [0, 1], method=rule,
-                         error=True, maxdegree=degree)
+                         error=True, maxdegree=_MAX_DEGREE)
         c = mp.sqrt(s)
         return c * i0, c * s * i1, max(e0 / abs(i0), e1 / abs(i1)), log_peak
 
@@ -404,7 +395,7 @@ def _contour_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
 
     # relative only: the scaled integral falls like sqrt(pi/x) at large x
     epsrel = max(1e-13, config.rel_tol / 10.0)
-    total, err = quad(integrand, lo, hi, epsrel, 4 + config.max_subdivisions)
+    total, err = quad(integrand, lo, hi, epsrel, _HALVINGS)
 
     try:
         scale = 0.5 * math.exp(peak)
@@ -425,7 +416,7 @@ def _accepted(strategy: str, value: complex, err: float,
         raise ConvergenceError(
             f"{strategy} quadrature result {side} double-precision range",
             estimate=value, achieved_error=err)
-    if err > max(config.abs_tol, config.rel_tol * abs(value)):
+    if err > config.rel_tol * abs(value):
         raise ConvergenceError(
             f"{strategy} quadrature stalled at error {err:.3e}",
             estimate=value, achieved_error=err)

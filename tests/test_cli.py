@@ -164,6 +164,16 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:") and "double-precision" in err
 
+    def test_unconverged_contour_is_a_convergence_failure(self, capsys):
+        # |P| is about 5e-50 here; the contour's error is 1e-36
+        code, out, err = run(capsys, "eval", "--x",
+                             "-0.6451586828952784-35.2033173536142i", "--y",
+                             "-83.87862811702283+100.47822639120726i",
+                             "--method", "quadrature")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "stalled" in err
+
     def test_order_above_cap_names_the_given_order(self, capsys):
         code, out, err = run(capsys, "eval", "--x", "1", "--y", "10",
                              "--order", "64")

@@ -10,6 +10,7 @@ rotated variant.
 """
 
 import cmath
+import dataclasses
 import math
 import os
 import random
@@ -70,18 +71,24 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs,msg", [
         ({"strategy": "midpoint"}, "strategy"),
         ({"working_precision_digits": 15}, "working_precision_digits"),
-        ({"abs_tol": 0.0}, "tolerances"),
+        ({"rel_tol": 0.0}, "tolerances"),
         ({"rel_tol": -1e-9}, "tolerances"),
-        ({"max_subdivisions": 0}, "max_subdivisions"),
-        ({"strategy": REAL_AXIS, "abs_tol": math.inf}, "tolerances"),
-        ({"rel_tol": math.inf}, "tolerances"),
-        ({"abs_tol": math.nan}, "tolerances"),
-        ({"max_subdivisions": 2.5}, "max_subdivisions"),
         ({"working_precision_digits": 30.0}, "working_precision_digits"),
+        ({"strategy": REAL_AXIS, "rel_tol": math.inf}, "tolerances"),
+        ({"rel_tol": math.inf}, "tolerances"),
+        ({"rel_tol": math.nan}, "tolerances"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
             QuadratureConfig(**kwargs)
+
+    def test_fields(self):
+        # one relative tolerance for both strategies: no absolute floor
+        # and no contour node budget to set
+        names = [f.name for f in dataclasses.fields(QuadratureConfig)]
+        assert names == ["strategy", "working_precision_digits", "rel_tol"]
+        with pytest.raises(TypeError):
+            QuadratureConfig(abs_tol=1e-30)
 
 
 class TestOriginAnchor:
@@ -278,6 +285,32 @@ class TestRelativeError:
             relative_error(1.0, 0.0)
 
 
+# |P| is about 3e-62, 5e-50 and 5e-49, and the contour's line peaks 18 to
+# 31 digits above it, beyond what double precision can cancel.  An absolute
+# floor of 1e-30 on the error let the contour return 1.04e-47 at the first
+# point and a value 7.7e12 times too large at the second.
+TINY_P = [
+    (1.6489883390173503 - 27.899820700118944j,
+     -100.2239912785565 + 97.39188630020797j),
+    (-0.6451586828952784 - 35.2033173536142j,
+     -83.87862811702283 + 100.47822639120726j),
+    (5.792125448233662 - 29.986713659854722j,
+     76.49348131353678 - 98.940229517096j),
+]
+
+
+class TestRelativeAcceptance:
+    @pytest.mark.parametrize("x,y", TINY_P)
+    def test_contour_refuses(self, x, y):
+        with pytest.raises(ConvergenceError, match="stalled"):
+            pearcey_quadrature(x, y)
+
+    @pytest.mark.parametrize("x,y", TINY_P)
+    def test_real_axis_against_closed_form(self, x, y):
+        value = pearcey_quadrature(x, y, QuadratureConfig(strategy=REAL_AXIS))
+        assert relative_error(value, series_reference(x, y)) <= 1e-12
+
+
 class TestConvergenceFailure:
     @staticmethod
     def _count_passes(monkeypatch):
@@ -301,7 +334,7 @@ class TestConvergenceFailure:
         # comes after the last level and carries its estimate
         calls = self._count_passes(monkeypatch)
         cfg = QuadratureConfig(strategy=REAL_AXIS, working_precision_digits=16,
-                               rel_tol=1e-300, abs_tol=1e-300)
+                               rel_tol=1e-300)
         with pytest.raises(ConvergenceError, match="stalled") as info:
             pearcey_quadrature(1.0, 10.0, cfg)
         assert len(calls) == 2 * quadrature._MAX_LEVELS
@@ -411,8 +444,7 @@ class TestConvergenceFailure:
                                           rel=1e-12)
 
     def test_contour_reports_best_estimate(self):
-        cfg = QuadratureConfig(rel_tol=1e-40, abs_tol=1e-60,
-                               max_subdivisions=1)
+        cfg = QuadratureConfig(rel_tol=1e-40)
         with pytest.raises(ConvergenceError) as info:
             pearcey_quadrature(1.0, 10.0, cfg)
         err = info.value
@@ -421,7 +453,7 @@ class TestConvergenceFailure:
         assert relative_error(err.estimate, reference) <= 1e-9
 
     @pytest.mark.parametrize("x,y,config", [
-        (1.0, 10.0, QuadratureConfig(rel_tol=1e-40, abs_tol=1e-60)),
+        (1.0, 10.0, QuadratureConfig(rel_tol=1e-40)),
         # a point the horizontal line cannot resolve: the rule runs to its cap
         (-4.567106744928893 - 4.166975080229847j,
          7.67418811055165 - 1.2731125396418272j, None),
@@ -441,7 +473,7 @@ class TestConvergenceFailure:
         with pytest.raises(ConvergenceError) as info:
             pearcey_quadrature(x, y, config)
         assert cmath.isfinite(info.value.estimate)
-        # 16 intervals halved 4 + max_subdivisions = 10 times
+        # 16 intervals halved at most 10 times
         assert 0 < nodes <= 16 * 2 ** 10 + 1
 
 
