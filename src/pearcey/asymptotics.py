@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 from .coefficients import MAX_ORDER, build_table
@@ -173,8 +174,22 @@ def branch_partial_sums(k: int, x: complex, y: complex,
     return pref, values
 
 
+def _integral_order(order) -> int:
+    """``order`` as an int; a bool or a non-integral value is refused.
+
+    ``operator.index`` accepts ints and numpy integers but not floats.
+    """
+    if not isinstance(order, bool):
+        try:
+            return operator.index(order)
+        except TypeError:
+            pass
+    raise ValueError(f"order must be an int, got {order!r}")
+
+
 def pearcey_branch(k: int, x: complex, y: complex, order: int) -> complex:
     """Single branch P_k(x, y) through ``order``, at y as given."""
+    order = _integral_order(order)
     series = build_table(x, order).series
     return branch_partial_sums(k, x, y, series, order)[1][-1]
 
@@ -185,6 +200,7 @@ def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResul
     ``order`` counts retained series terms beyond the leading one, so the
     returned value carries terms through y^(-2*order/3).
     """
+    order = _integral_order(order)
     if order < 0:
         raise ValueError(f"index precondition violated: need order >= 0, got {order}")
     if order > MAX_ORDER - 1:

@@ -11,26 +11,27 @@ exactly (up to quadrature error), with no asymptotic content:
       P(x, y) = sum_k (-1)^k y^(2k) / (2k)! M_k(x),
       M_k(x) = integral_0^inf t^(2k) exp(-t^4 - x t^2) dt,
 
-  in mpmath arbitrary-precision arithmetic.  The oscillating cos(y t)
-  leaves the integrals: M_0 and M_1 are two smooth real-axis integrals
-  (trapezoid, on the axis cut off where the envelope has fallen below
+  at arbitrary precision.  The oscillating cos(y t) leaves the
+  integrals: M_0 and M_1 are two smooth real-axis integrals (trapezoid
+  in mpmath, on the axis cut off where the envelope has fallen below
   the working precision), and 4 M_{k+2} = (2k+1) M_k - 2x M_{k+1} gives
-  the rest.  The seeds run at the working precision plus the digits
-  they cancel below the envelope's peak: min(Re(x)^2, Im(x)^2) /
-  (4 ln 10) at Re x < 0, none otherwise.  The terms can exceed |P| by
-  many digits, so the series is summed twice from the same seeds, at
-  the working precision and a guard of digits above it, and once more
-  at the guard from seeds moved apart by their own error; the
-  difference of the first two sums plus the shift of the third is the
-  error.  While it misses ``rel_tol`` the precision rises by the digits
-  the sum lost to cancellation, and at least doubles, starting from
-  ``working_precision_digits``.  Capped precision levels, terms,
-  quadrature degree and seed cancellation turn an input the series
-  cannot reach (large positive Re x, where the recurrence amplifies
-  rounding, very large |Im x|, or Re x < -48 with |Im x| > 48) into
-  ``ConvergenceError``.  130 to 772 integrand evaluations (one or two
-  levels) and 0.007 to 0.06 s per paper-table point at 50 digits; the
-  ground truth of last resort.
+  the rest, summed in fixed-point integer arithmetic.  The seeds run at
+  the working precision plus the digits they cancel below the envelope's
+  peak: min(Re(x)^2, Im(x)^2) / (4 ln 10) at Re x < 0, none otherwise.
+  The terms can exceed |P| by many digits, so the series is summed
+  twice from the same seeds, at the working precision and a guard of
+  digits above it, and once more at the guard from seeds moved apart by
+  their own error; the difference of the first two sums plus the shift
+  of the third is the error.  While it misses ``rel_tol`` the precision
+  rises by the digits the sum lost to cancellation, and at least
+  doubles, starting from ``working_precision_digits``.  Capped precision
+  levels, terms, quadrature degree and seed cancellation turn an input
+  the series cannot reach (large positive Re x, where the recurrence
+  amplifies rounding, very large |Im x|, or Re x < -48 with
+  |Im x| > 48) into ``ConvergenceError``.  130 to 772 integrand
+  evaluations (one or two levels) and 0.003 to 0.03 s per paper-table
+  point at 50 digits on a 2-core x86 host, about 85% of it in the seed
+  integrals; the ground truth of last resort.
 
 * ``CONTOUR`` writes P as half the integral of exp(-t^4 - x t^2 + i y t)
   over the whole real line and moves that line up or down to Im t = c.
@@ -73,6 +74,7 @@ _HALVINGS = 10  # contour trapezoid halvings from 16 intervals (16,385 nodes)
 _GUARD = 10  # digits between the two sums of a real-axis precision level
 _MAX_LEVELS = 5  # real-axis precision levels per call
 _MAX_TERMS = 10_000  # terms per real-axis sum
+_FIXED_GUARD = 20  # bits the fixed-point y-series carries beyond the precision
 _MAX_DEGREE = 15  # trapezoid degree of the seed integrals (131,073 nodes)
 _MAX_CANCEL = 250  # digits the real-axis seed integrals may cancel
 
@@ -157,10 +159,10 @@ def _real_axis_value(x: complex, y: complex, config: QuadratureConfig) -> comple
     digits = config.working_precision_digits
     for _ in range(_MAX_LEVELS):
         with mp.workdps(digits + _GUARD):
-            # real arguments keep the arithmetic real, which is cheaper
+            # a real x keeps the seed integrals' arithmetic real, which is
+            # cheaper
             xm = mp.mpc(x) if x.imag else mp.mpf(x.real)
             y2 = mp.mpc(y) ** 2
-            y2 = y2 if y2.imag else y2.real
             m0, m1, seed_err, log_peak = _seed_moments(mp, xm, digits)
             # about |y|^(4/3) + digits terms reach the precision (at most
             # 1.5 times that out to x = -52 and |y| = 100); the rest of the
@@ -294,23 +296,68 @@ def _y_series(mp, x, y2, m0, m1, terms: int):
     """sum_k (-y^2)^k / (2k)! M_k at the working precision, and its largest
     term's modulus.
 
-    M_k follows from 4 M_{k+2} = (2k+1) M_k - 2x M_{k+1}; the sum stops
-    after two successive terms below 10^-dps of the largest.
+    M_k follows from 4 M_{k+2} = (2k+1) M_k - 2x M_{k+1}, so the terms
+    T_k = (-y^2)^k / (2k)! M_k themselves follow
+
+        T_{k+2} = (a T_k + (2k+2) b T_{k+1}) / ((2k+2)(2k+3)(2k+4)),
+
+    a = y^4 / 4, b = x y^2 / 2.  They are summed in fixed point, as
+    Python integers in units of 2^-sh, which costs a few integer products
+    per term where mpc arithmetic costs about ten mpmath operations.  sh
+    puts the larger of T_0 and T_1 wp = prec + _FIXED_GUARD bits above
+    one unit, and T_1, a and b are rounded to wp bits, so every term is
+    resolved at least that finely relative to the largest: the
+    recurrence can amplify a rounding of the starting values by millions
+    (at x = 1, y = 100).  Once the largest term holds more than 2 wp bits
+    (the recurrence's growing noise at large positive Re x), the units
+    are coarsened to 2^-wp of it, which keeps the integers short.  The
+    sum stops after two successive terms below 10^-dps of the largest,
+    an exact test on the integers.
     """
-    tiny = mp.mpf(10) ** -mp.mp.dps
-    total = largest = mp.mpf(0)
-    coef = mp.mpf(1)
+    wp = mp.mp.prec + _FIXED_GUARD
+
+    def fixed(z, bits):
+        return [mp.libmp.to_fixed(part, bits) for part in mp.mpc(z)._mpc_]
+
+    with mp.workprec(wp):
+        t1 = -y2 * m1 / 2
+        sh = wp - max(mp.mag(m0), mp.mag(t1))
+        t0r, t0i = fixed(m0, sh)
+        t1r, t1i = fixed(t1, sh)
+        ar, ai = fixed(y2 * y2 / 4, wp)
+        br, bi = fixed(x * y2 / 2, wp)
+    cutoff_sq = 10 ** (2 * mp.mp.dps)  # |T| <= 10^-dps largest, squared
+    total_r = total_i = largest_sq = 0
     below = 0
     for k in range(terms):
-        term = coef * m0
-        total += term
-        size = abs(term)
-        largest = max(largest, size)
-        below = below + 1 if size <= tiny * largest else 0
-        if below == 2:
-            return total, largest
-        m0, m1 = m1, ((2 * k + 1) * m0 - 2 * x * m1) / 4
-        coef *= -y2 / ((2 * k + 1) * (2 * k + 2))
+        total_r += t0r
+        total_i += t0i
+        size_sq = t0r * t0r + t0i * t0i
+        if size_sq > largest_sq:
+            largest_sq = size_sq
+            below = 0
+            drop = (size_sq.bit_length() >> 1) - wp
+            if drop > wp:
+                t0r, t0i, t1r, t1i = (t0r >> drop, t0i >> drop, t1r >> drop,
+                                      t1i >> drop)
+                total_r, total_i = total_r >> drop, total_i >> drop
+                largest_sq >>= 2 * drop
+                sh -= drop
+        elif size_sq * cutoff_sq <= largest_sq:
+            below += 1
+            if below == 2:
+                return (mp.mpc(mp.mpf((total_r, -sh)),
+                               mp.mpf((total_i, -sh))),
+                        mp.sqrt(mp.mpf((largest_sq, -2 * sh))))
+        else:
+            below = 0
+        n = 2 * k + 2
+        d = n * (n + 1) * (n + 2)
+        btr = t1r * br - t1i * bi
+        bti = t1r * bi + t1i * br
+        t0r, t0i, t1r, t1i = t1r, t1i, (
+            ((ar * t0r - ai * t0i + n * btr) >> wp) // d), (
+            ((ar * t0i + ai * t0r + n * bti) >> wp) // d)
     raise ConvergenceError(
         f"{REAL_AXIS} series needs more than {terms} terms",
         estimate=complex(math.nan, math.nan), achieved_error=math.inf)

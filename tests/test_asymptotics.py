@@ -11,6 +11,7 @@ import collections
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pearcey import (Dominance, Region, classify_region, normalize,
@@ -151,6 +152,16 @@ class TestPearceyBranch:
         with pytest.raises(ValueError, match="precondition"):
             pearcey_branch(1, 1.0, 10.0, -1)
 
+    @pytest.mark.parametrize("order", [2.0, True, False, "2", None])
+    def test_non_integral_order_rejected(self, order):
+        # a float failed deep inside with TypeError, True ran as order 1
+        with pytest.raises(ValueError, match="order must be an int"):
+            pearcey_branch(1, 1.0, 10.0, order)
+
+    def test_numpy_integer_order(self):
+        assert (pearcey_branch(1, 1.0, 10.0, np.int64(3))
+                == pearcey_branch(1, 1.0, 10.0, 3))
+
     @pytest.mark.parametrize("x,y,order", [(1.0, 25.0, 4), (-2.0, 12.0, 3)])
     def test_branches_conjugate_on_real_axis(self, x, y, order):
         b1 = pearcey_branch(1, x, y, order)
@@ -273,6 +284,18 @@ class TestPearceyAsymptotic:
             pearcey_asymptotic(1.0, 10.0, order=-1)
         with pytest.raises(ValueError, match="order 64.*cap 63"):
             pearcey_asymptotic(1.0, 10.0, order=64)
+
+    @pytest.mark.parametrize("order", [2.0, True, False, "2", None])
+    def test_non_integral_order_rejected(self, order):
+        # a float failed deep inside with TypeError, True returned a
+        # result with order=True
+        with pytest.raises(ValueError, match="order must be an int"):
+            pearcey_asymptotic(1.0, 10.0, order)
+
+    def test_numpy_integer_order(self):
+        res = pearcey_asymptotic(1.0, 10.0, np.int64(3))
+        assert res == pearcey_asymptotic(1.0, 10.0, 3)
+        assert type(res.order) is int
 
     def test_order_up_to_cap_supported(self):
         res = pearcey_asymptotic(1.0, 10.0, order=63)

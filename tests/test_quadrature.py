@@ -45,20 +45,28 @@ def hermite_moments(x):
             for k in (0, 1)]
 
 
+def series_sum(x, y2, m0, m1):
+    """sum_k (-y^2)^k / (2k)! M_k and its largest term's modulus, from
+    M_0 and M_1 by the moment recurrence in plain mpmath arithmetic at the
+    working precision, until a term falls below 10^-dps of the largest."""
+    tiny = mp.mpf(10) ** -mp.mp.dps
+    total = largest = mp.mpf(0)
+    coef, k = mp.mpf(1), 0
+    while k < 3 or abs(coef * m0) > tiny * largest:
+        total += coef * m0
+        largest = max(largest, abs(coef * m0))
+        m0, m1 = m1, ((2 * k + 1) * m0 - 2 * x * m1) / 4
+        coef *= -y2 / ((2 * k + 1) * (2 * k + 2))
+        k += 1
+    return total, largest
+
+
 def series_reference(x, y):
     """P(x, y) from the closed-form moments and the y-series of DLMF 36.8
     at 200 digits: no quadrature at all."""
     with mp.workdps(200):
-        m0, m1 = hermite_moments(x)
-        x, y2 = mp.mpmathify(x), mp.mpmathify(y) ** 2
-        total = largest = mp.mpf(0)
-        coef, k = mp.mpf(1), 0
-        while k < 3 or abs(coef * m0) > mp.mpf(10) ** -200 * largest:
-            total += coef * m0
-            largest = max(largest, abs(coef * m0))
-            m0, m1 = m1, ((2 * k + 1) * m0 - 2 * x * m1) / 4
-            coef *= -y2 / ((2 * k + 1) * (2 * k + 2))
-            k += 1
+        total, _ = series_sum(mp.mpmathify(x), mp.mpmathify(y) ** 2,
+                              *hermite_moments(x))
         return complex(total)
 
 
@@ -189,6 +197,66 @@ class TestSeedPrecision:
                                working_precision_digits=digits)
         assert relative_error(pearcey_quadrature(x, y, cfg),
                               series_reference(x, y)) <= 1e-12
+
+
+class TestYSeries:
+    """The fixed-point y-series against the same recurrence in mpmath."""
+
+    @staticmethod
+    def _sums(x, y, dps):
+        """The kernel's sum and largest term at dps digits from closed-form
+        seeds divided by the envelope's peak, as _seed_moments returns
+        them; the plain loop's sum from the same seeds at dps digits; and
+        the exact sum and largest term, the loop at twice the digits."""
+        with mp.workdps(dps):
+            x, y2 = mp.mpmathify(x), mp.mpmathify(y) ** 2
+            peak = mp.exp(min(x.real, 0) ** 2 / 4)
+            seeds = (x, y2, *(m / peak for m in hermite_moments(x)))
+            total, largest = quadrature._y_series(mp, *seeds,
+                                                  quadrature._MAX_TERMS)
+            plain, _ = series_sum(*seeds)
+        with mp.workdps(2 * dps):
+            exact, exact_largest = series_sum(*seeds)
+        return total, largest, plain, exact, exact_largest
+
+    @pytest.mark.parametrize("x,y,dps", [
+        (1.0, 10.0, 60),
+        (-2.1 + 0.05j, polar(25, math.pi / 4), 60),
+        (0.5 - 0.3j, 3 - 4j, 30),
+        (2.0, 0.0, 60),
+        # seeds about 1e-221 after the peak scaling
+        (-45 + 45j, 5.0, 60),
+        # terms up to 1e89 for a sum of 1e-50; the plain loop at 110
+        # digits is off by 1e6 times 10^-110 of the largest term
+        (1.0, 100.0, 110),
+    ])
+    def test_against_exact_sum(self, x, y, dps):
+        total, largest, _, exact, exact_largest = self._sums(x, y, dps)
+        with mp.workdps(dps):
+            assert abs(largest - exact_largest) <= 4 * mp.eps * exact_largest
+            assert abs(total - exact) <= mp.mpf(10) ** -dps * exact_largest
+        if not (isinstance(x, complex) or isinstance(y, complex)):
+            assert total.imag == 0
+
+    def test_noise_regime(self):
+        # at x = 1e3 the forward recurrence grows rounding by about 1e478,
+        # so no sum at 810 digits, the level P(1e3, 50) returns from,
+        # reaches 10^-810 of the largest term: the fixed point is no
+        # noisier than mpmath's arithmetic
+        total, largest, plain, exact, exact_largest = self._sums(1e3, 50.0,
+                                                                 810)
+        with mp.workdps(810):
+            assert abs(largest - exact_largest) <= 4 * mp.eps * exact_largest
+            assert abs(total - exact) <= abs(plain - exact)
+            assert abs(total - exact) <= 1e-300 * exact_largest
+        assert total.imag == 0
+
+    def test_term_count_capped(self):
+        with mp.workdps(30):
+            x, y2 = mp.mpf(1), mp.mpc(10) ** 2
+            with pytest.raises(ConvergenceError,
+                               match="series needs more than 20 terms"):
+                quadrature._y_series(mp, x, y2, *hermite_moments(1.0), 20)
 
 
 class TestSymmetries:
