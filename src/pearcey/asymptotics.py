@@ -33,10 +33,9 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
-from .coefficients import MAX_ORDER, build_table
+from .coefficients import MAX_ORDER, as_finite, as_order, build_table
 
 _PI = math.pi
 _AMP = math.sqrt(_PI / 3.0) / 2.0 ** (5.0 / 6.0)
@@ -107,10 +106,7 @@ class ExpansionResult:
 
 def normalize(x: complex, y: complex) -> EvalPoint:
     """Reduce (x, y) by evenness in y to Re y >= 0 and record theta."""
-    x = complex(x)
-    y = complex(y)
-    if not (cmath.isfinite(x) and cmath.isfinite(y)):
-        raise ValueError(f"x and y must be finite, got x={x!r}, y={y!r}")
+    x, y = as_finite(x=x, y=y)
     if y == 0:
         raise ValueError(
             "asymptotic expansion undefined at y = 0; use quadrature")
@@ -131,28 +127,46 @@ def prefactor(k: int, x: complex, y: complex) -> complex:
     """Exponential prefactor of branch k at principal powers of y.
 
     On overflow of the double-precision exponential the result saturates
-    to an infinite modulus with the correct phase direction.
+    to an infinite modulus with the correct phase direction, to the
+    quadrant; past |y|^(4/3) = 1.8e308 it is 0 or real +inf.
     """
     if k not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {k}")
-    if not (cmath.isfinite(x) and cmath.isfinite(y)):
-        raise ValueError(f"x and y must be finite, got x={x!r}, y={y!r}")
+    x, y = as_finite(x=x, y=y)
     if y == 0:
         raise ValueError("prefactor undefined at y = 0")
-    x = complex(x)
+    expo = _log_prefactor(k, x, y)
+    if expo.real > _OVERFLOW_RE:
+        return _infinite(expo.imag)
+    return cmath.exp(expo)
+
+
+def _log_prefactor(k: int, x: complex, y: complex) -> complex:
+    """Logarithm of branch k's prefactor at complex x and y != 0.
+
+    Where |y|^(4/3) leaves double range the leading term alone sets the
+    real part, +-inf, and the phase is lost: the imaginary part is 0.
+    """
     logy = cmath.log(y)
     y13 = cmath.exp(logy / 3.0)
     y23 = cmath.exp(2.0 * logy / 3.0)
-    y43 = cmath.exp(4.0 * logy / 3.0)
     sgn = 1.0 if k == 1 else -1.0
-    expo = (_EXP_LEVEL * y43 * cmath.exp(sgn * 2j * _PI / 3.0)
+    try:
+        y43 = cmath.exp(4.0 * logy / 3.0)
+    except OverflowError:
+        lead = math.cos(4.0 * logy.imag / 3.0 + sgn * 2.0 * _PI / 3.0)
+        return complex(math.copysign(math.inf, lead), 0.0)
+    return (_EXP_LEVEL * y43 * cmath.exp(sgn * 2j * _PI / 3.0)
             - _EXP_SHIFT * x * y23 * cmath.exp(sgn * 1j * _PI / 3.0)
             + x * x / 6.0
             + cmath.log(_AMP / y13))
-    if expo.real > _OVERFLOW_RE:
-        return complex(math.inf * math.cos(expo.imag),
-                       math.inf * math.sin(expo.imag))
-    return cmath.exp(expo)
+
+
+def _infinite(phase: float) -> complex:
+    """Infinite modulus at ``phase``, to the quadrant: a part whose cosine
+    or sine is exactly 0 stays 0 rather than NaN."""
+    return complex(*(math.copysign(math.inf, part) if part else 0.0
+                     for part in (math.cos(phase), math.sin(phase))))
 
 
 def branch_partial_sums(k: int, x: complex, y: complex,
@@ -160,38 +174,40 @@ def branch_partial_sums(k: int, x: complex, y: complex,
                         order: int) -> tuple[complex, list[complex]]:
     """Prefactor of branch k and the branch truncated at each order 0..order.
 
-    ``series`` holds A_0..A_order (or more) at x; y is used as given.
+    ``series`` holds A_0..A_order (or more) at x; y is used as given.  A
+    term y^(-2n/3) beyond double range raises ValueError.  Under an
+    infinite prefactor each value is infinite at the phase of the
+    exponent plus that of the series sum, as ``pref * total`` would cancel
+    inf against inf into NaN.
     """
     pref = prefactor(k, x, y)  # rejects a bad branch and y = 0
     logy = cmath.log(y)
     sgn = -1.0 if k == 1 else 1.0
     total = complex(0)
-    values = []
+    totals = []
     for n in range(order + 1):
         term_phase = cmath.exp(sgn * (2 * n + 1) * 1j * _PI / 6.0)
-        total += term_phase * series[n] * cmath.exp(-2.0 * n / 3.0 * logy)
-        values.append(pref * total)
-    return pref, values
-
-
-def _integral_order(order) -> int:
-    """``order`` as an int; a bool or a non-integral value is refused.
-
-    ``operator.index`` accepts ints and numpy integers but not floats.
-    """
-    if not isinstance(order, bool):
         try:
-            return operator.index(order)
-        except TypeError:
-            pass
-    raise ValueError(f"order must be an int, got {order!r}")
+            power = cmath.exp(-2.0 * n / 3.0 * logy)
+        except OverflowError:
+            raise _power_error(y, n) from None
+        total += term_phase * series[n] * power
+        totals.append(total)
+    if cmath.isfinite(pref):
+        return pref, [pref * t for t in totals]
+    phase = _log_prefactor(k, complex(x), complex(y)).imag
+    return pref, [_infinite(phase + cmath.phase(t)) for t in totals]
+
+
+def _power_error(y: complex, n: int) -> ValueError:
+    return ValueError(
+        f"term y^(-2*{n}/3) leaves double range at y={y!r}; use quadrature")
 
 
 def pearcey_branch(k: int, x: complex, y: complex, order: int) -> complex:
     """Single branch P_k(x, y) through ``order``, at y as given."""
-    order = _integral_order(order)
-    series = build_table(x, order).series
-    return branch_partial_sums(k, x, y, series, order)[1][-1]
+    table = build_table(x, order)
+    return branch_partial_sums(k, x, y, table.series, table.max_order)[1][-1]
 
 
 def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResult:
@@ -200,13 +216,8 @@ def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResul
     ``order`` counts retained series terms beyond the leading one, so the
     returned value carries terms through y^(-2*order/3).
     """
-    order = _integral_order(order)
-    if order < 0:
-        raise ValueError(f"index precondition violated: need order >= 0, got {order}")
-    if order > MAX_ORDER - 1:
-        # the error estimate reads one coefficient beyond ``order``
-        raise ValueError(
-            f"order {order} exceeds the supported cap {MAX_ORDER - 1}")
+    # the error estimate reads one coefficient beyond ``order``
+    order = as_order(order, MAX_ORDER - 1)
     point = normalize(x, y)
     region = classify_region(point)
     table = build_table(point.x, order + 1)
@@ -224,10 +235,13 @@ def pearcey_asymptotic(x: complex, y: complex, order: int = 5) -> ExpansionResul
         if k in _ACTIVE_BRANCHES[region] else inactive for k in (1, 2))
     partial = [c1 + c2 for c1, c2 in zip(contrib1, contrib2)]
 
-    omitted = ((abs(pref1) + abs(pref2))
-               * abs(table.series[order + 1])
-               * y_mod ** (-2.0 * (order + 1) / 3.0))
+    try:
+        scale = y_mod ** (-2.0 * (order + 1) / 3.0)
+    except OverflowError:
+        raise _power_error(point.y, order + 1) from None
+    omitted = (abs(pref1) + abs(pref2)) * abs(table.series[order + 1]) * scale
     if not (cmath.isfinite(pref1) and cmath.isfinite(pref2)):
+        omitted = math.inf  # not inf * 0 = NaN where the scale underflows
         warnings.append("exponential prefactor overflowed double precision; "
                         "value saturated to infinite modulus")
     elif partial[-1] == 0:

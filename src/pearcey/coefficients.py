@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 #: Highest coefficient order ``build_table`` accepts.  Above order 5 the
@@ -39,6 +40,40 @@ MAX_ORDER = 64
 _CUBE2 = 2.0 ** (1.0 / 3.0)
 _REC_B = 1.0 / (3.0 * _CUBE2)            # x-coupling of the moment recursion
 _REC_D = 1.0 / (3.0 * 2.0 ** (2.0 / 3.0))  # index-coupling term
+
+
+def as_order(order, cap: int = MAX_ORDER) -> int:
+    """The one rule for an expansion order or coefficient index: an int
+    (numpy integers too, a bool not) from 0 to ``cap``, else ValueError."""
+    if isinstance(order, bool) or not hasattr(order, "__index__"):
+        raise ValueError(f"order must be an int, got {order!r}")
+    order = operator.index(order)
+    if not 0 <= order <= cap:
+        raise ValueError(f"index precondition violated: order {order} is "
+                         f"outside 0 to the supported cap {cap}")
+    return order
+
+
+def as_finite(**values: complex) -> list[complex]:
+    """``values`` as complex numbers, or ValueError naming them all."""
+    numbers = [complex(v) for v in values.values()]
+    if not all(map(cmath.isfinite, numbers)):
+        got = ", ".join(f"{name}={v!r}" for name, v in values.items())
+        raise ValueError(f"{' and '.join(values)} must be finite, got {got}")
+    return numbers
+
+
+def _in_range(x: complex, order: int, compute) -> list[complex]:
+    """The coefficients ``compute()`` returns at x through ``order``; one
+    that is not finite, or an overflow on the way, raises ValueError."""
+    try:
+        values = compute()
+        if all(map(cmath.isfinite, values)):
+            return values
+    except OverflowError:
+        pass
+    raise ValueError(f"coefficients at x={x!r} through order {order} "
+                     "leave double range")
 
 
 def _factorial(n: int) -> int | float:
@@ -69,14 +104,6 @@ def expansion_weight(n: int, m: int, k: int, x: complex) -> complex:
     return num / (_factorial(k) * _factorial(2 * m - n - k) * _factorial(n - m))
 
 
-def _finite(x: complex) -> complex:
-    """x as a complex number; NaN or infinite parts raise ValueError."""
-    x = complex(x)
-    if not cmath.isfinite(x):
-        raise ValueError(f"x must be finite, got x={x!r}")
-    return x
-
-
 def _moment_seq(x: complex, nmax: int) -> list[complex]:
     c = [complex(0)] * (nmax + 1)
     c[0] = complex(1)
@@ -88,10 +115,11 @@ def _moment_seq(x: complex, nmax: int) -> list[complex]:
 
 
 def moment_coeff(n: int, x: complex) -> complex:
-    """Scaled Gaussian moment c_n(x) via the three-term recursion."""
-    if n < 0:
-        raise ValueError(f"index precondition violated: need n >= 0, got n={n}")
-    return _moment_seq(_finite(x), n)[n]
+    """Scaled Gaussian moment c_n(x) via the three-term recursion,
+    0 <= n <= 3*MAX_ORDER."""
+    n = as_order(n, 3 * MAX_ORDER)
+    x, = as_finite(x=x)
+    return _in_range(x, n, lambda: _moment_seq(x, n))[n]
 
 
 def moment_coeff_closed(n: int, x: complex) -> complex:
@@ -99,17 +127,21 @@ def moment_coeff_closed(n: int, x: complex) -> complex:
 
         c_n(x) = x^n / (3^n 2^(n/3)) * sum_k (3/(2x^2))^k n! / (k! (n-2k)!)
     """
-    if n < 0:
-        raise ValueError(f"index precondition violated: need n >= 0, got n={n}")
-    x = _finite(x)
+    n = as_order(n, 3 * MAX_ORDER)
+    x, = as_finite(x=x)
     if x == 0:
         raise ValueError("closed-form moment undefined at x = 0; "
                          "use the recursion form")
-    ratio = 3.0 / (2.0 * x * x)
-    total = complex(0)
-    for k in range(n // 2 + 1):
-        total += ratio ** k * _factorial(n) / (_factorial(k) * _factorial(n - 2 * k))
-    return x ** n / (3.0 ** n * 2.0 ** (n / 3.0)) * total
+
+    def closed():
+        ratio = 3.0 / (2.0 * x * x)
+        total = complex(0)
+        for k in range(n // 2 + 1):
+            total += (ratio ** k * _factorial(n)
+                      / (_factorial(k) * _factorial(n - 2 * k)))
+        return [x ** n / (3.0 ** n * 2.0 ** (n / 3.0)) * total]
+
+    return _in_range(x, n, closed)[0]
 
 
 def _series_from_moments(n: int, x: complex, c: list[complex]) -> complex:
@@ -142,14 +174,15 @@ def build_table(x: complex, max_order: int) -> CoefficientTable:
 
     A_n draws on moments up to index 3n, so ``moments`` runs to 3*max_order.
     """
-    if max_order < 0:
-        raise ValueError(
-            f"index precondition violated: need max_order >= 0, got {max_order}")
-    if max_order > MAX_ORDER:
-        raise ValueError(
-            f"max_order {max_order} exceeds the supported cap {MAX_ORDER}")
-    x = _finite(x)
-    c = _moment_seq(x, 3 * max_order)
-    a = [_series_from_moments(n, x, c) for n in range(max_order + 1)]
+    max_order = as_order(max_order)
+    x, = as_finite(x=x)
+
+    def coefficients():
+        c = _moment_seq(x, 3 * max_order)
+        return c + [_series_from_moments(n, x, c)
+                    for n in range(max_order + 1)]
+
+    values = _in_range(x, max_order, coefficients)
     return CoefficientTable(max_order=max_order,
-                            moments=tuple(c), series=tuple(a))
+                            moments=tuple(values[:3 * max_order + 1]),
+                            series=tuple(values[3 * max_order + 1:]))

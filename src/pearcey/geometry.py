@@ -28,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .coefficients import expansion_weight
+from .coefficients import as_finite, expansion_weight
 
 _PI = math.pi
 _R_SADDLE = 2.0 ** (-2.0 / 3.0)
@@ -59,8 +59,7 @@ def saddle_points() -> SaddleSet:
 
 def phase(t: complex, theta: float) -> complex:
     """Rotated phase f(t) = exp(4i*theta/3) (i t - t^4)."""
-    if not (cmath.isfinite(t) and cmath.isfinite(theta)):
-        raise ValueError(f"t and theta must be finite, got t={t!r}, theta={theta!r}")
+    as_finite(t=t, theta=theta)
     return cmath.exp(4j * theta / 3.0) * (1j * t - t ** 4)
 
 

@@ -24,7 +24,7 @@ exactly (up to quadrature error), with no asymptotic content:
   their own error; the difference of the first two sums plus the shift
   of the third is the error.  While it misses ``rel_tol`` the precision
   rises by the digits the sum lost to cancellation, and at least
-  doubles, starting from ``working_precision_digits``.  Capped precision
+  doubles, starting from 50 digits.  Capped precision
   levels, terms, quadrature degree and seed cancellation turn an input
   the series cannot reach (large positive Re x, where the recurrence
   amplifies rounding, very large |Im x|, or Re x < -48 with
@@ -71,6 +71,7 @@ CONTOUR = "contour"
 _PI = math.pi
 _TAIL_DROP = 48.0  # e-folds below the line's peak at which it is cut off
 _HALVINGS = 10  # contour trapezoid halvings from 16 intervals (16,385 nodes)
+_START_DIGITS = 50  # real-axis working precision of the first level
 _GUARD = 10  # digits between the two sums of a real-axis precision level
 _MAX_LEVELS = 5  # real-axis precision levels per call
 _MAX_TERMS = 10_000  # terms per real-axis sum
@@ -91,14 +92,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Oracle settings.  ``working_precision_digits`` is REAL_AXIS's
-    starting precision, which it raises until its error is within
-    rel_tol * |P|.  Both strategies accept a result only when its error is
-    at most rel_tol * |P|, however small |P| is.
+    """Oracle settings: the strategy, and the tolerance by which both
+    accept a result, an error of at most rel_tol * |P| however small |P|
+    is.  REAL_AXIS raises its precision until it meets that tolerance.
     """
 
     strategy: str = CONTOUR
-    working_precision_digits: int = 50
     rel_tol: float = 1e-12
 
     def __post_init__(self):
@@ -106,10 +105,6 @@ class QuadratureConfig:
             raise ValueError(
                 f"strategy must be {REAL_AXIS!r} or {CONTOUR!r}, "
                 f"got {self.strategy!r}")
-        if (not isinstance(self.working_precision_digits, int)
-                or self.working_precision_digits < 16):
-            raise ValueError("working_precision_digits must be an int >= 16, "
-                             f"got {self.working_precision_digits!r}")
         if not 0 < self.rel_tol < math.inf:
             raise ValueError("tolerances must be positive and finite, got "
                              f"rel_tol={self.rel_tol}")
@@ -156,7 +151,7 @@ def relative_error(approx: complex, reference: complex) -> float:
 def _real_axis_value(x: complex, y: complex, config: QuadratureConfig) -> complex:
     import mpmath as mp
 
-    digits = config.working_precision_digits
+    digits = _START_DIGITS
     for _ in range(_MAX_LEVELS):
         with mp.workdps(digits + _GUARD):
             # a real x keeps the seed integrals' arithmetic real, which is

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .asymptotics import pearcey_asymptotic
+from .coefficients import MAX_ORDER, as_order
 from .quadrature import QuadratureConfig, pearcey_quadrature, relative_error
 
 
@@ -91,12 +92,10 @@ def table_rows(spec: TableSpec,
     Each row makes one oracle call and one expansion call at the highest
     order; its partial sums are the lower orders' values, bit for bit.
     """
-    if any(order < 0 for order in spec.orders):
-        raise ValueError(
-            f"index precondition violated: need orders >= 0, got {spec.orders}")
-    top = max(spec.orders, default=0)
+    orders = [as_order(order, MAX_ORDER - 1) for order in spec.orders]
+    top = max(orders, default=0)
     for row in spec.rows:
         reference = pearcey_quadrature(spec.x, row.y, oracle)
         partial_sums = pearcey_asymptotic(spec.x, row.y, top).partial_sums
-        for order in spec.orders:
+        for order in orders:
             yield row.label, order, relative_error(partial_sums[order], reference)

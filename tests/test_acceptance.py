@@ -112,8 +112,7 @@ def test_criterion_2_table2_reproduction():
 
 def test_criterion_3_oracle_cross_validation():
     with criterion(3, "quadrature strategies agree to 1e-9"):
-        precise = QuadratureConfig(strategy=REAL_AXIS,
-                                   working_precision_digits=50)
+        precise = QuadratureConfig(strategy=REAL_AXIS)
         for preset in (1, 2):
             spec = PRESETS[preset]
             for row in spec.rows:

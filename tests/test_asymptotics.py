@@ -245,6 +245,30 @@ class TestPearceyAsymptotic:
         assert not cmath.isfinite(res.value)
         assert any("overflow" in w for w in res.warnings)
 
+    @pytest.mark.parametrize("x,y", [
+        # |y|^(4/3) itself leaves double range at 1e300 (OverflowError
+        # before); at 1e5i and -300i inf * sum read inf+nanj
+        (1.0, 1e300j), (1.0, 1e5j), (0.0, -300j)])
+    def test_overflow_saturates_without_nan(self, x, y):
+        res = pearcey_asymptotic(x, y)
+        for z in (res.value, *res.partial_sums):
+            assert abs(z) == math.inf
+            assert not (math.isnan(z.real) or math.isnan(z.imag))
+        assert res.first_omitted_magnitude == math.inf
+        assert any("saturated" in w for w in res.warnings)
+
+    def test_underflow_at_extreme_y(self):
+        # both branches decay on the real axis; |y|^(4/3) overflowed before
+        res = pearcey_asymptotic(1.0, 1e300)
+        assert res.value == 0
+        assert any("underflowed" in w for w in res.warnings)
+
+    @pytest.mark.parametrize("y,n", [(1e-100, 5), (1e-80, 6)])
+    def test_term_beyond_double_range_rejected(self, y, n):
+        # at 1e-80 only the first omitted term's y^(-4) overflows
+        with pytest.raises(ValueError, match=rf"y\^\(-2\*{n}/3\)"):
+            pearcey_asymptotic(1.0, y)
+
     @pytest.mark.parametrize("x,y,needle", [
         # true values: 3.6e269 at (-50, 30), 0.0574 at (10, 8)
         (-50.0, 30.0, "first omitted term"),

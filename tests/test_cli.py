@@ -273,6 +273,16 @@ class TestCoeffs:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        # "error: complex exponentiation" before, and nan+nanj from eval
+        ("coeffs", "--x", "1e200"),
+        ("eval", "--x", "1e30", "--y", "10")])
+    def test_overflow_names_x_and_order(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "coefficients at x=" in err and "leave double range" in err
+
 
 class TestMap:
     def test_grid_rows(self, capsys):

@@ -18,7 +18,8 @@ import random
 import mpmath as mp
 import pytest
 
-from pearcey import build_table, moment_coeff, moment_coeff_closed, series_coeff
+from pearcey import (build_table, moment_coeff, moment_coeff_closed,
+                     pearcey_asymptotic, series_coeff)
 from pearcey.coefficients import expansion_weight
 
 CUBE2 = 2.0 ** (1.0 / 3.0)
@@ -187,3 +188,26 @@ class TestNonFiniteX:
     def test_rejected(self, func, x):
         with pytest.raises(ValueError, match="x must be finite"):
             func(x, 3) if func is build_table else func(3, x)
+
+
+class TestHugeX:
+    # coefficients beyond double range: x ** k overflowed (OverflowError)
+    # at 1e62, and the moments turned NaN at 1e30
+    @pytest.mark.parametrize("x", [1e30, 1e62, -1e200j])
+    def test_table_rejected(self, x):
+        with pytest.raises(ValueError, match=r"x=.* through order 5 leave"):
+            build_table(x, 5)
+        with pytest.raises(ValueError, match=r"x=.* through order 5 leave"):
+            series_coeff(5, x)
+
+    @pytest.mark.parametrize("func,n,x", [
+        (moment_coeff, 150, 1e200), (moment_coeff_closed, 5, 1e100),
+        (moment_coeff_closed, 192, 1.0)])  # 192! overflows
+    def test_moment_rejected(self, func, n, x):
+        with pytest.raises(ValueError, match=f"through order {n} leave"):
+            func(n, x)
+
+    def test_expansion_rejected(self):
+        # returned nan+nanj with the saturation warning
+        with pytest.raises(ValueError, match="through order 6 leave"):
+            pearcey_asymptotic(1e30, 5)

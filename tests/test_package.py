@@ -10,14 +10,18 @@ import collections
 import importlib
 import pathlib
 import time
+from fractions import Fraction
 
 import mpmath
+import numpy as np
+import pytest
 
 import pearcey
 import pearcey.asymptotics
 import pearcey.cli
 import pearcey.quadrature
 import pearcey.tables
+from pearcey.coefficients import MAX_ORDER
 
 PUBLIC_NAMES = sorted([
     "CONTOUR", "REAL_AXIS", "ConvergenceError", "Dominance",
@@ -76,3 +80,49 @@ def test_benchmark_hooks_install_and_restore(monkeypatch, capsys):
         tracer.uninstall()
     for (module, attr), original in zip(hooked, originals):
         assert getattr(module, attr) is original, f"{attr} not restored"
+
+
+def _table_rows(order):
+    spec = pearcey.tables.TableSpec(
+        x=1.0, rows=(pearcey.tables.TableRow(10.0, Fraction(0)),),
+        orders=(order,))
+    return list(pearcey.table_rows(spec))
+
+
+# Every public function that takes an expansion order or coefficient
+# index, called at x = 1 and y = 10, and its cap.  The expansion and the
+# table read one coefficient beyond the order; moments run to index 3n.
+ORDER_TAKERS = {
+    "build_table": (lambda n: pearcey.build_table(1.0, n), MAX_ORDER),
+    "series_coeff": (lambda n: pearcey.series_coeff(n, 1.0), MAX_ORDER),
+    "moment_coeff": (lambda n: pearcey.moment_coeff(n, 1.0), 3 * MAX_ORDER),
+    "moment_coeff_closed": (lambda n: pearcey.moment_coeff_closed(n, 1.0),
+                            3 * MAX_ORDER),
+    "pearcey_asymptotic": (lambda n: pearcey.pearcey_asymptotic(1.0, 10.0, n),
+                           MAX_ORDER - 1),
+    "pearcey_branch": (
+        lambda n: pearcey.asymptotics.pearcey_branch(1, 1.0, 10.0, n),
+        MAX_ORDER),
+    "table_rows": (_table_rows, MAX_ORDER - 1),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_TAKERS)
+class TestOrderRule:
+    """One order rule everywhere: an int, not a bool, from 0 to the cap."""
+
+    @pytest.mark.parametrize("order", [True, False, 2.0, "2", None, -1],
+                             ids=repr)
+    def test_refused(self, name, order):
+        call, _ = ORDER_TAKERS[name]
+        with pytest.raises(ValueError, match="order"):
+            call(order)
+
+    def test_above_cap_refused(self, name):
+        call, cap = ORDER_TAKERS[name]
+        with pytest.raises(ValueError, match=f"cap {cap}"):
+            call(cap + 1)
+
+    def test_numpy_integer_accepted(self, name):
+        call, _ = ORDER_TAKERS[name]
+        assert call(np.int64(3)) == call(3)

@@ -29,8 +29,8 @@ from pearcey import (CONTOUR, REAL_AXIS, ConvergenceError, QuadratureConfig,
 
 GAMMA_5_4 = 0.9064024770554771  # Gamma(5/4)
 
-FAST_REAL_AXIS = QuadratureConfig(strategy=REAL_AXIS,
-                                  working_precision_digits=30)
+# the default REAL_AXIS oracle; a lower starting precision would save little
+FAST_REAL_AXIS = QuadratureConfig(strategy=REAL_AXIS)
 
 
 def polar(mod, arg):
@@ -74,14 +74,15 @@ class TestConfig:
     def test_defaults(self):
         cfg = QuadratureConfig()
         assert cfg.strategy == CONTOUR
-        assert cfg.working_precision_digits == 50
+        assert cfg.rel_tol == 1e-12
+        assert quadrature._START_DIGITS == 50
 
     @pytest.mark.parametrize("kwargs,msg", [
         ({"strategy": "midpoint"}, "strategy"),
-        ({"working_precision_digits": 15}, "working_precision_digits"),
+        ({"strategy": None}, "strategy"),
         ({"rel_tol": 0.0}, "tolerances"),
         ({"rel_tol": -1e-9}, "tolerances"),
-        ({"working_precision_digits": 30.0}, "working_precision_digits"),
+        ({"rel_tol": -math.inf}, "tolerances"),
         ({"strategy": REAL_AXIS, "rel_tol": math.inf}, "tolerances"),
         ({"rel_tol": math.inf}, "tolerances"),
         ({"rel_tol": math.nan}, "tolerances"),
@@ -91,12 +92,14 @@ class TestConfig:
             QuadratureConfig(**kwargs)
 
     def test_fields(self):
-        # one relative tolerance for both strategies: no absolute floor
-        # and no contour node budget to set
+        # one relative tolerance for both strategies: no absolute floor,
+        # no contour node budget and no REAL_AXIS starting precision to set
         names = [f.name for f in dataclasses.fields(QuadratureConfig)]
-        assert names == ["strategy", "working_precision_digits", "rel_tol"]
+        assert names == ["strategy", "rel_tol"]
         with pytest.raises(TypeError):
             QuadratureConfig(abs_tol=1e-30)
+        with pytest.raises(TypeError):
+            QuadratureConfig(working_precision_digits=50)
 
 
 class TestOriginAnchor:
@@ -172,14 +175,13 @@ class TestSeedPrecision:
         (20.0, 20.0), (8.0, 30.0), (15.0, 15.0), (1.0, 30.0),
         (5 + 2j, 15 - 3j),
     ])
-    def test_low_precision_agrees(self, x, y):
+    def test_low_precision_agrees(self, monkeypatch, x, y):
         # the series amplifies the seeds' error here: an error term that
         # missed it returned (20, 20) 7e10 off at 16 digits
-        default = pearcey_quadrature(x, y,
-                                     QuadratureConfig(strategy=REAL_AXIS))
+        cfg = QuadratureConfig(strategy=REAL_AXIS)
+        default = pearcey_quadrature(x, y, cfg)
         for digits in (16, 24):
-            cfg = QuadratureConfig(strategy=REAL_AXIS,
-                                   working_precision_digits=digits)
+            monkeypatch.setattr(quadrature, "_START_DIGITS", digits)
             assert relative_error(pearcey_quadrature(x, y, cfg),
                                   default) <= 1e-12
 
@@ -192,9 +194,10 @@ class TestSeedPrecision:
         (-30 + 60j, 0.0, 50),
         (-45 + 45j, 5.0, 50),
     ])
-    def test_cancelling_seeds_against_closed_form(self, x, y, digits):
-        cfg = QuadratureConfig(strategy=REAL_AXIS,
-                               working_precision_digits=digits)
+    def test_cancelling_seeds_against_closed_form(self, monkeypatch, x, y,
+                                                  digits):
+        monkeypatch.setattr(quadrature, "_START_DIGITS", digits)
+        cfg = QuadratureConfig(strategy=REAL_AXIS)
         assert relative_error(pearcey_quadrature(x, y, cfg),
                               series_reference(x, y)) <= 1e-12
 
@@ -401,8 +404,8 @@ class TestConvergenceFailure:
         # no precision the levels reach meets this tolerance: the refusal
         # comes after the last level and carries its estimate
         calls = self._count_passes(monkeypatch)
-        cfg = QuadratureConfig(strategy=REAL_AXIS, working_precision_digits=16,
-                               rel_tol=1e-300)
+        monkeypatch.setattr(quadrature, "_START_DIGITS", 16)
+        cfg = QuadratureConfig(strategy=REAL_AXIS, rel_tol=1e-300)
         with pytest.raises(ConvergenceError, match="stalled") as info:
             pearcey_quadrature(1.0, 10.0, cfg)
         assert len(calls) == 2 * quadrature._MAX_LEVELS
@@ -441,10 +444,10 @@ class TestConvergenceFailure:
         (-60.0, 0.0, 16),  # P ~ e^900
         (-60.0, 60j, 50),  # P ~ e^1233
     ])
-    def test_real_axis_overflow_refused(self, x, y, digits):
+    def test_real_axis_overflow_refused(self, monkeypatch, x, y, digits):
         # beyond double range: no silent inf
-        cfg = QuadratureConfig(strategy=REAL_AXIS,
-                               working_precision_digits=digits)
+        monkeypatch.setattr(quadrature, "_START_DIGITS", digits)
+        cfg = QuadratureConfig(strategy=REAL_AXIS)
         with pytest.raises(ConvergenceError, match="double-precision"):
             pearcey_quadrature(x, y, cfg)
 
@@ -557,7 +560,7 @@ _ROUTE_IMPORTS = {
     "real axis": (
         "import pearcey\n"
         "pearcey.pearcey_quadrature(1, 2, pearcey.QuadratureConfig(\n"
-        "    strategy=pearcey.REAL_AXIS, working_precision_digits=30))\n",
+        "    strategy=pearcey.REAL_AXIS))\n",
         ("scipy", "numpy")),
     "contour": (
         "import pearcey\n"
